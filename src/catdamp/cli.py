@@ -92,7 +92,7 @@ def cmd_fig(args) -> int:
             sides=_sides_list(args.sides),
             parities=_parity_list(args.parity),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"catdamp fig: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
@@ -153,7 +153,7 @@ def cmd_sweep(args) -> int:
     except ConfigError as exc:
         print(f"catdamp sweep: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"catdamp sweep: {exc}", file=sys.stderr)
         return USAGE_ERROR
     out = config.out or "sweep.csv"
@@ -188,7 +188,7 @@ def cmd_validate(args) -> int:
     try:
         named, global_tol = _parse_tolerances(args.tolerance)
         results = run_validation(args.seed, named, global_tol)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"catdamp validate: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(format_table(results))

@@ -53,14 +53,21 @@ class LogicalBasis:
 
         Computed through cosh/sinh of the cross term, which stays accurate
         where the naive difference of two overlaps would cancel (small
-        amplitudes).
+        amplitudes).  Once cosh(cross) would overflow, or the Gaussian
+        envelope would underflow, the two halves (1/2) e^{log_env +- cross}
+        are formed separately; each exponent is at most 0 there.
         """
         if self.mu == 0.0:
             raise ValueError("|v> is undefined at alpha = 0 (mu = 0)")
         beta = complex(beta)
         cross = self.alpha.conjugate() * beta
-        env = cmath.exp(-0.5 * abs(self.alpha) ** 2 - 0.5 * abs(beta) ** 2)
-        return env * cmath.cosh(cross) / self.lam, env * cmath.sinh(cross) / self.mu
+        log_env = -0.5 * abs(self.alpha) ** 2 - 0.5 * abs(beta) ** 2
+        if abs(cross.real) < 700.0 and log_env > -700.0:
+            env = cmath.exp(log_env)
+            return env * cmath.cosh(cross) / self.lam, env * cmath.sinh(cross) / self.mu
+        plus = 0.5 * cmath.exp(log_env + cross)
+        minus = 0.5 * cmath.exp(log_env - cross)
+        return (plus + minus) / self.lam, (plus - minus) / self.mu
 
 
 def make_basis(alpha: complex) -> LogicalBasis:
@@ -71,6 +78,24 @@ def make_basis(alpha: complex) -> LogicalBasis:
     return LogicalBasis(complex(alpha), lam, mu)
 
 
+def _product_vectors(
+    amps: Sequence[Sequence[complex]], bases: Sequence[LogicalBasis]
+) -> np.ndarray:
+    """Coordinates <row|a_0, ..., a_{m-1}> of N coherent products in the
+    product logical basis, one row each: an (N, 2^m) array.
+
+    Grows every row one mode at a time by broadcasting, so row i equals the
+    chain of 1-D Kronecker products of its (<u|a_k>, <v|a_k>) pairs
+    element for element, with the same products in the same order.
+    """
+    n = len(amps)
+    vec = np.ones((n, 1), dtype=complex)
+    for k, basis in enumerate(bases):
+        pair = np.array([basis.overlaps(a[k]) for a in amps], dtype=complex).reshape(n, 2)
+        vec = (vec[:, :, None] * pair[:, None, :]).reshape(n, 2 * vec.shape[1])
+    return vec
+
+
 def project_to_qubits(
     d: SuperpositionDensity, bases: Sequence[LogicalBasis]
 ) -> tuple[np.ndarray, float]:
@@ -78,21 +103,24 @@ def project_to_qubits(
 
     Returns the 2^m x 2^m matrix <row|rho|col> over products of |u>, |v>
     (mode 0 is the most significant bit, u = 0, v = 1) and the residual
-    weight outside the logical span, trace(rho) - trace(matrix).
+    weight outside the logical span, trace(rho) - trace(matrix).  A density
+    with no dyads projects to the zero matrix.
+
+    The result is reproducible to the bit: the per-mode pairs come from the
+    scalar `LogicalBasis.overlaps`, and the outer products are added to the
+    matrix one dyad at a time, in dyad order.  A ufunc evaluation of the
+    overlaps, or one matrix product over all dyads, reorders the floating
+    point operations and changes the last bits of the results.
     """
     m = d.mode_count
     if len(bases) != m:
         raise ValueError(f"need {m} bases, got {len(bases)}")
-    dim = 2**m
-    mat = np.zeros((dim, dim), dtype=complex)
-    one = np.array([1.0 + 0j])
-    for dy in d.dyads:
-        ket_vec = one
-        bra_vec = one
-        for k in range(m):
-            ket_vec = np.kron(ket_vec, np.array(bases[k].overlaps(dy.ket[k])))
-            bra_vec = np.kron(bra_vec, np.array(bases[k].overlaps(dy.bra[k])))
-        mat += dy.coeff * np.outer(ket_vec, bra_vec.conj())
+    n = len(d.dyads)
+    vecs = _product_vectors([dy.ket for dy in d.dyads] + [dy.bra for dy in d.dyads], bases)
+    kets, bras = vecs[:n], vecs[n:].conj()
+    mat = np.zeros((2**m, 2**m), dtype=complex)
+    for dy, ket_vec, bra_vec in zip(d.dyads, kets, bras):
+        mat += dy.coeff * np.outer(ket_vec, bra_vec)
     residual = density_trace(d).real - np.trace(mat).real
     return mat, float(residual)
 
@@ -100,15 +128,15 @@ def project_to_qubits(
 def qubit_coordinates(
     s: SuperpositionState, bases: Sequence[LogicalBasis]
 ) -> np.ndarray:
-    """Coordinate vector <row|s> of a pure state in the product logical basis."""
+    """Coordinate vector <row|s> of a pure state in the product logical basis.
+
+    Reproducible to the bit for the same reasons as `project_to_qubits`:
+    scalar overlaps, and the terms added one at a time in term order.
+    """
     if len(bases) != s.mode_count:
         raise ValueError("basis count mismatch")
-    one = np.array([1.0 + 0j])
     vec = np.zeros(2**s.mode_count, dtype=complex)
-    for t in s.terms:
-        comp = one
-        for k in range(s.mode_count):
-            comp = np.kron(comp, np.array(bases[k].overlaps(t.amps[k])))
+    for t, comp in zip(s.terms, _product_vectors([t.amps for t in s.terms], bases)):
         vec = vec + t.coeff * comp
     return vec
 
@@ -144,8 +172,9 @@ class XStateElements:
         return float(np.linalg.eigvalsh(self.to_matrix()).min())
 
 
-_SPIN_FLIP = np.kron(
-    np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])
+# sigma_y (x) sigma_y
+_SPIN_FLIP = np.array(
+    [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
 )
 
 

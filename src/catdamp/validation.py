@@ -551,15 +551,23 @@ def report_dict(seed: int, results: list[CheckResult]) -> dict:
     }
 
 
+def _margin(r: CheckResult) -> float:
+    """max_error / tolerance; 1 is the edge of passing."""
+    if r.tolerance > 0:
+        return r.max_error / r.tolerance
+    return 0.0 if r.max_error == 0 else math.inf
+
+
 def format_table(results: list[CheckResult]) -> str:
     name_width = max(len(r.name) for r in results)
     lines = [
-        f"{'check':<{name_width}}  {'status':<6}  {'max error':>12}  {'tolerance':>12}  {'time [s]':>8}"
+        f"{'check':<{name_width}}  {'status':<6}  {'max error':>12}  {'tolerance':>12}  "
+        f"{'margin':>9}  {'time [s]':>8}"
     ]
     for r in results:
         lines.append(
             f"{r.name:<{name_width}}  {'pass' if r.passed else 'FAIL':<6}  "
-            f"{r.max_error:>12.3e}  {r.tolerance:>12.3e}  {r.wall_time:>8.2f}"
+            f"{r.max_error:>12.3e}  {r.tolerance:>12.3e}  {_margin(r):>9.3e}  {r.wall_time:>8.2f}"
         )
     return "\n".join(lines)
 

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from catdamp import cli
 from catdamp.cli import main
 from catdamp.sweep import ConfigError, SweepConfig, config_from_dict, run_sweep, vanishing_point
+from catdamp.validation import CheckResult, format_table
 
 
 def read_csv(path):
@@ -58,6 +60,19 @@ class TestFigCommand:
         bound = [float(r["bound_onesided_eta0.9"]) for r in rows]
         assert bound[0] == pytest.approx(math.sqrt(0.9), abs=1e-12)
         assert bound[-1] < bound[1] < bound[0] + 1e-12
+
+    def test_fig3_large_amplitude(self, tmp_path):
+        # the first mode carries sqrt(2) alpha: 2 alpha^2 = 800 is past the
+        # point where cosh of the overlap cross term overflows
+        out = tmp_path / "fig3.csv"
+        assert main(["fig", "3", "--alpha-max", "20", "--steps", "5", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [float(r["alpha"]) for r in rows] == [0.0, 5.0, 10.0, 15.0, 20.0]
+        for row in rows:
+            for key, value in row.items():
+                assert math.isfinite(float(value)), (key, value)
+                if key.startswith("direct_"):
+                    assert float(value) == 0.0
 
     def test_eta_override(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -150,6 +165,21 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "line" in capsys.readouterr().err
 
+    def test_large_amplitude_exact_quantities(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "axis": {"name": "alpha", "start": 19, "stop": 27, "steps": 9},
+            "quantities": ["damped_concurrence", "ghz_concurrence", "concurrence_bound"],
+            "fixed": {"eta": 0.9},
+            "out": str(tmp_path / "large.csv"),
+        }))
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        rows = read_csv(tmp_path / "large.csv")
+        assert len(rows) == 9
+        for row in rows:
+            for q in ("damped_concurrence", "ghz_concurrence", "concurrence_bound"):
+                assert math.isfinite(float(row[q])), (row["alpha"], q)
+
     def test_out_of_range_fixed_value(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"fixed": {"eta": 1.5}}))
@@ -198,6 +228,21 @@ class TestValidateCommand:
         names = [c["name"] for c in report["checks"]]
         assert "backend_equivalence" in names
         assert "phase_flip_identity_m3" in names
+        # the console table carries max_error / tolerance for every check;
+        # checks that count violations have tolerance 0 and read 0 when clean
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[0].split()
+        assert "margin" in header
+        col = header.index("margin") - 1  # "max error" is two words
+        for check, line in zip(report["checks"], lines[1:]):
+            fields = line.split()
+            assert fields[0] == check["name"]
+            if check["tolerance"] == 0:
+                assert check["max_error"] == 0 and float(fields[col]) == 0.0
+            else:
+                assert float(fields[col]) == pytest.approx(
+                    check["max_error"] / check["tolerance"], rel=1e-3
+                )
 
     def test_zero_tolerance_fails(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -219,3 +264,45 @@ class TestValidateCommand:
 
     def test_unknown_check_name_is_usage_error(self, tmp_path, capsys):
         assert main(["validate", "--tolerance", "bogus=1"]) == 2
+
+
+class TestTableMargin:
+    def test_margin_is_error_over_tolerance(self):
+        results = [
+            CheckResult("near_bound", 6.96e-9, 1e-8, "", 0.5),
+            CheckResult("far_below", 1e-15, 1e-10, "", 0.0),
+            CheckResult("zero_tolerance", 2e-16, 0.0, "", 0.0),
+            CheckResult("exact", 0.0, 0.0, "", 0.0),
+        ]
+        lines = format_table(results).splitlines()
+        assert lines[0].split() == ["check", "status", "max", "error", "tolerance",
+                                    "margin", "time", "[s]"]
+        margins = [float(line.split()[4]) for line in lines[1:]]
+        assert margins[0] == pytest.approx(0.696, rel=1e-3)
+        assert margins[1] == pytest.approx(1e-5, rel=1e-3)
+        assert margins[2] == math.inf
+        assert margins[3] == 0.0
+
+
+class TestOverflowIsUsageError:
+    @staticmethod
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    def test_fig(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_figure", self.overflow)
+        assert main(["fig", "3", "--out", str(tmp_path / "f.csv")]) == 2
+        assert "catdamp fig: math range error" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_sweep(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_sweep", self.overflow)
+        assert main(["sweep", "--out", str(tmp_path / "s.csv")]) == 2
+        assert "catdamp sweep: math range error" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_validate(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_validation", self.overflow)
+        assert main(["validate", "--out", str(tmp_path / "r.json")]) == 2
+        assert "catdamp validate: math range error" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()

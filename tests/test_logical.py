@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,9 @@ import scipy.linalg
 from catdamp.coherent import (
     SuperpositionState,
     apply_loss,
+    canonicalize,
     density_from_pure,
+    density_trace,
     normalize,
     state_inner,
     tensor,
@@ -22,7 +26,7 @@ from catdamp.logical import (
     wootters_concurrence,
     xstate_concurrence,
 )
-from catdamp.formulas import damped_components, three_mode_state
+from catdamp.formulas import damped_components, ghz_state, three_mode_state
 
 
 def sqrtm_concurrence(rho):
@@ -75,6 +79,174 @@ class TestBasis:
             assert state_inner(u, u).real == pytest.approx(1.0, abs=1e-12)
             assert state_inner(v, v).real == pytest.approx(1.0, abs=1e-12)
             assert abs(state_inner(u, v)) < 1e-12
+
+
+def mp_overlaps(alpha, beta):
+    """(<u|beta>, <v|beta>) from the definitions of |u>, |v>, in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpc(alpha), mpmath.mpc(beta)
+
+        def coh(x, y):
+            return mpmath.exp(-abs(x) ** 2 / 2 - abs(y) ** 2 / 2 + mpmath.conj(x) * y)
+
+        lam = mpmath.sqrt((1 + mpmath.exp(-2 * abs(a) ** 2)) / 2)
+        mu = mpmath.sqrt(-mpmath.expm1(-2 * abs(a) ** 2) / 2)
+        return (
+            complex((coh(a, b) + coh(-a, b)) / (2 * lam)),
+            complex((coh(a, b) - coh(-a, b)) / (2 * mu)),
+        )
+
+
+class TestLargeAmplitudeOverlaps:
+    def test_equal_amplitudes_past_cosh_overflow(self):
+        u, v = make_basis(27).overlaps(27)
+        assert u == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+        assert v == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            (27.0, 27.0),
+            (27.0, -27.0),
+            (27.0, 26.5),
+            (40.0, 30.0 + 5.0j),
+            (18.0, 39.0),
+            # |cross.real| below 700, but the envelope e^{-746} underflows
+            (27.3, 27.3 * complex(math.cos(0.36), math.sin(0.36))),
+            # the two sides of |cross.real| = 700
+            (26.0, 699.9 / 26.0),
+            (26.0, 700.1 / 26.0),
+        ],
+    )
+    def test_matches_mpmath(self, alpha, beta):
+        got = make_basis(alpha).overlaps(beta)
+        want = mp_overlaps(alpha, beta)
+        for g, w in zip(got, want):
+            assert math.isfinite(g.real) and math.isfinite(g.imag)
+            assert abs(g - w) <= 1e-12 * abs(w) + 1e-300
+
+    def test_small_amplitudes_keep_cosh_form(self):
+        # below the switch the values are those of env * cosh / env * sinh
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            alpha = complex(*rng.uniform(-3, 3, size=2))
+            beta = complex(*rng.uniform(-3, 3, size=2))
+            b = make_basis(alpha)
+            cross = b.alpha.conjugate() * beta
+            env = cmath.exp(-0.5 * abs(b.alpha) ** 2 - 0.5 * abs(beta) ** 2)
+            assert b.overlaps(beta) == (env * cmath.cosh(cross) / b.lam,
+                                        env * cmath.sinh(cross) / b.mu)
+
+
+def kron_projection(d, bases):
+    """Reference: the per-dyad chain of np.kron products that the broadcast
+    kernel replaced, kept to pin the kernel bit for bit."""
+    m = d.mode_count
+    mat = np.zeros((2**m, 2**m), dtype=complex)
+    one = np.array([1.0 + 0j])
+    for dy in d.dyads:
+        ket_vec = one
+        bra_vec = one
+        for k in range(m):
+            ket_vec = np.kron(ket_vec, np.array(bases[k].overlaps(dy.ket[k])))
+            bra_vec = np.kron(bra_vec, np.array(bases[k].overlaps(dy.bra[k])))
+        mat += dy.coeff * np.outer(ket_vec, bra_vec.conj())
+    residual = density_trace(d).real - np.trace(mat).real
+    return mat, float(residual)
+
+
+def kron_coordinates(s, bases):
+    one = np.array([1.0 + 0j])
+    vec = np.zeros(2**s.mode_count, dtype=complex)
+    for t in s.terms:
+        comp = one
+        for k in range(s.mode_count):
+            comp = np.kron(comp, np.array(bases[k].overlaps(t.amps[k])))
+        vec = vec + t.coeff * comp
+    return vec
+
+
+def random_state(rng, m, terms=3):
+    pairs = [
+        (complex(*rng.normal(size=2)), tuple(complex(*rng.uniform(-2, 2, size=2)) for _ in range(m)))
+        for _ in range(terms)
+    ]
+    return SuperpositionState.from_terms(pairs)
+
+
+def random_bases(rng, m):
+    return [make_basis(complex(*rng.uniform(0.2, 2.0, size=2))) for _ in range(m)]
+
+
+def assert_projection_pinned(d, bases):
+    mat, residual = project_to_qubits(d, bases)
+    ref_mat, ref_residual = kron_projection(d, bases)
+    assert np.array_equal(mat, ref_mat)
+    assert residual == ref_residual
+
+
+class TestProjectionKernelPinned:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_random_states(self, m):
+        rng = np.random.default_rng(1000 + m)
+        for _ in range(5):
+            s = random_state(rng, m)
+            bases = random_bases(rng, m)
+            assert_projection_pinned(density_from_pure(s, check_norm=False), bases)
+            assert np.array_equal(qubit_coordinates(s, bases), kron_coordinates(s, bases))
+
+    def test_damped_three_mode_state(self):
+        # the 4-dyad state behind damped_state_projection (two-sided loss)
+        a, eta = 0.8, 0.6
+        s = three_mode_state(a)
+        d = canonicalize(apply_loss(apply_loss(density_from_pure(s), 1, eta), 2, eta))
+        assert len(d.dyads) == 4
+        root = math.sqrt(eta)
+        bases = [make_basis(math.sqrt(2) * a), make_basis(root * a), make_basis(root * a)]
+        assert_projection_pinned(d, bases)
+        undamped = [make_basis(math.sqrt(2) * a), make_basis(a), make_basis(a)]
+        assert np.array_equal(qubit_coordinates(s, undamped), kron_coordinates(s, undamped))
+
+    def test_canonicalized_ghz_density(self):
+        a, eta = 0.9, 0.7
+        g = ghz_state(a, 3)
+        d = canonicalize(density_from_pure(g, check_norm=False))
+        assert len(d.dyads) == 64
+        bases = [make_basis(a)] * 3
+        assert_projection_pinned(d, bases)
+        damped = canonicalize(apply_loss(d, 2, eta))
+        assert_projection_pinned(
+            damped, [make_basis(a), make_basis(a), make_basis(math.sqrt(eta) * a)]
+        )
+        assert np.array_equal(qubit_coordinates(g, bases), kron_coordinates(g, bases))
+
+    def test_zero_dyads(self):
+        # canonicalize prunes every dyad whose weight is below its tolerance
+        d = canonicalize(density_from_pure(three_mode_state(0.7)), tol=10.0)
+        assert d.dyads == ()
+        bases = [make_basis(0.7)] * 3
+        mat, residual = project_to_qubits(d, bases)
+        assert np.array_equal(mat, np.zeros((8, 8), dtype=complex))
+        assert residual == 0.0
+        assert_projection_pinned(d, bases)
+        empty = SuperpositionState(2, ())
+        assert np.array_equal(qubit_coordinates(empty, bases[:2]), np.zeros(4, dtype=complex))
+
+    def test_mu_zero_basis_rejected(self):
+        d = density_from_pure(three_mode_state(0.7))
+        bases = [make_basis(0.7), make_basis(0.0), make_basis(0.7)]
+        with pytest.raises(ValueError, match="mu = 0"):
+            project_to_qubits(d, bases)
+        with pytest.raises(ValueError, match="mu = 0"):
+            qubit_coordinates(three_mode_state(0.7), bases)
+
+    def test_basis_count_mismatch_rejected(self):
+        s = three_mode_state(0.7)
+        bases = [make_basis(0.7)] * 2
+        with pytest.raises(ValueError, match="need 3 bases, got 2"):
+            project_to_qubits(density_from_pure(s), bases)
+        with pytest.raises(ValueError, match="basis count mismatch"):
+            qubit_coordinates(s, bases)
 
 
 class TestProjection:
@@ -133,6 +305,12 @@ class TestProjection:
 
 
 class TestWootters:
+    def test_spin_flip_is_sigma_y_squared(self):
+        from catdamp.logical import _SPIN_FLIP
+
+        y = np.array([[0, -1j], [1j, 0]])
+        assert np.array_equal(_SPIN_FLIP, np.kron(y, y))
+
     def test_bell_state(self):
         bell = np.zeros((4, 4), dtype=complex)
         bell[0, 0] = bell[3, 3] = bell[0, 3] = bell[3, 0] = 0.5
