@@ -26,9 +26,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .formulas import (
+    _x_elements,
     concurrence_m,
     concurrence_pure,
-    damped_state_elements,
+    damped_state_projection,
     ghz_concurrence_limit,
     ghz_damped_elements,
     phase_flip_prob,
@@ -108,9 +109,12 @@ def fig3_rows(alpha_max: float = ALPHA_MAX_DEFAULT, steps: int = ALPHA_STEPS_DEF
     damped three-mode X concurrence, for each requested channel sidedness.
 
     The bound columns use the stable closed forms of the GHZ elements (the
-    validation suite pins them to the exact pipeline at 1e-11); the direct
-    columns run the exact pipeline, whose output is parity-block-diagonal,
-    so they are zero: emitted to make that explicit.
+    validation suite pins them to the exact pipeline at 1e-11).  The direct
+    columns run the exact pipeline through the grid kernel of
+    `damped_state_projection`, one call per (eta, sidedness) over the
+    positive alphas; its output is parity-block-diagonal, so they are zero
+    (see that docstring for why the bytes are stable): emitted to make that
+    explicit.
     """
     header = ["alpha"]
     for eta in etas:
@@ -118,8 +122,20 @@ def fig3_rows(alpha_max: float = ALPHA_MAX_DEFAULT, steps: int = ALPHA_STEPS_DEF
             header.append(f"bound_{s}sided_eta{_eta_tag(eta)}")
         for s in sides:
             header.append(f"direct_{s}sided_eta{_eta_tag(eta)}")
+    grid = _alpha_grid(alpha_max, steps)
+    positive = [i for i, a in enumerate(grid) if a > 0.0]
+    direct = {}
+    for eta in etas:
+        for s in sides:
+            column = [0.0] * len(grid)
+            mats, _ = damped_state_projection(
+                np.array([grid[i] for i in positive]), eta, math.pi, s
+            )
+            for i, mat in zip(positive, mats):
+                column[i] = xstate_concurrence(_x_elements(mat))
+            direct[eta, s] = column
     rows = []
-    for a in _alpha_grid(alpha_max, steps):
+    for i, a in enumerate(grid):
         row = [a]
         for eta in etas:
             for s in sides:
@@ -131,10 +147,7 @@ def fig3_rows(alpha_max: float = ALPHA_MAX_DEFAULT, steps: int = ALPHA_STEPS_DEF
                     )
                     row.append(factor * concurrence_pure(a, math.pi))
             for s in sides:
-                if a == 0.0:
-                    row.append(0.0)
-                else:
-                    row.append(xstate_concurrence(damped_state_elements(a, eta, math.pi, s)))
+                row.append(direct[eta, s][i])
         rows.append(row)
     return header, rows
 

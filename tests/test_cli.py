@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import catdamp
 from catdamp import cli
 from catdamp.cli import main
 from catdamp.sweep import ConfigError, SweepConfig, config_from_dict, run_sweep, vanishing_point
@@ -306,3 +311,23 @@ class TestOverflowIsUsageError:
         assert main(["validate", "--out", str(tmp_path / "r.json")]) == 2
         assert "catdamp validate: math range error" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_start_leaves_scipy_unimported():
+    # Only `validate` needs scipy; a fresh interpreter that imports the CLI
+    # and builds its parser must not load it.  As in criterion 10, the child
+    # gets the directory of the catdamp under test first on PYTHONPATH.
+    package_root = str(Path(catdamp.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root, inherited] if inherited else [package_root]))
+    code = (
+        "import sys\n"
+        "import catdamp.cli\n"
+        "catdamp.cli.build_parser()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

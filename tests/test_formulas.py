@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from catdamp.coherent import state_inner, state_norm
+from catdamp.cli import main
+from catdamp.coherent import (
+    apply_loss,
+    canonicalize,
+    density_from_pure,
+    state_inner,
+    state_norm,
+)
+from catdamp.figures import FIG3_ETAS, fig3_rows
 from catdamp.formulas import (
     ChannelParams,
     concurrence_m,
@@ -23,7 +31,7 @@ from catdamp.formulas import (
     phase_flip_prob_m,
     three_mode_state,
 )
-from catdamp.logical import wootters_concurrence, xstate_concurrence
+from catdamp.logical import make_basis, project_to_qubits, wootters_concurrence, xstate_concurrence
 from catdamp.logical import pure_bipartite_concurrence
 
 
@@ -289,6 +297,104 @@ class TestDampedStateElements:
         mat, _ = damped_state_projection(a, eta, math.pi, "two")
         even_weight = sum(mat[i, i].real for i in (0, 3, 5, 6))
         assert even_weight == pytest.approx(phase_flip_prob(a, eta), abs=1e-10)
+
+
+def reference_projection(alpha, eta, theta, sides):
+    """The generic dyad pipeline that the grid kernel mirrors, with the
+    number of dyads left after canonicalize."""
+    lossy = (2,) if sides == "one" else (1, 2)
+    d = density_from_pure(three_mode_state(alpha, theta))
+    for mode in lossy:
+        d = apply_loss(d, mode, eta)
+    d = canonicalize(d)
+    bases = [make_basis(math.sqrt(2.0) * alpha)] + [
+        make_basis(alpha * (math.sqrt(eta) if k in lossy else 1.0)) for k in (1, 2)
+    ]
+    mat, residual = project_to_qubits(d, bases)
+    return mat, residual, len(d.dyads)
+
+
+KERNEL_ALPHAS = np.concatenate([np.geomspace(0.01, 4.0), [19.0, 23.0, 27.0]])
+
+
+class TestDampedStateGridKernel:
+    @pytest.mark.parametrize("sides", ("one", "two"))
+    @pytest.mark.parametrize("theta", (math.pi, 1.0, 0.0))
+    @pytest.mark.parametrize("eta", (0.05, 0.3, 0.9, 1.0))
+    def test_matches_generic_pipeline(self, eta, theta, sides):
+        mats, residuals = damped_state_projection(KERNEL_ALPHAS, eta, theta, sides)
+        assert mats.shape == (len(KERNEL_ALPHAS), 8, 8)
+        assert residuals.shape == (len(KERNEL_ALPHAS),)
+        for alpha, mat, residual in zip(KERNEL_ALPHAS, mats, residuals):
+            ref_mat, ref_residual, _ = reference_projection(float(alpha), eta, theta, sides)
+            assert np.max(np.abs(mat - ref_mat)) < 1e-12, alpha
+            assert abs(residual - ref_residual) < 1e-12, alpha
+
+    @pytest.mark.parametrize("sides", ("one", "two"))
+    @pytest.mark.parametrize("theta", (math.pi, 1.0, 0.0))
+    def test_rows_equal_single_calls(self, theta, sides):
+        for eta in (0.05, 0.9):
+            mats, residuals = damped_state_projection(KERNEL_ALPHAS, eta, theta, sides)
+            for alpha, mat, residual in zip(KERNEL_ALPHAS, mats, residuals):
+                one_mat, one_residual = damped_state_projection(float(alpha), eta, theta, sides)
+                assert one_mat.shape == (8, 8)
+                assert isinstance(one_residual, float)
+                assert np.array_equal(one_mat, mat), alpha
+                assert one_residual == residual, alpha
+
+    def test_pruned_dyads(self):
+        # strong loss at large amplitude damps the cross dyads below
+        # PRUNE_TOL, so canonicalize drops them
+        for sides in ("one", "two"):
+            ref_mat, ref_residual, kept = reference_projection(27.0, 0.05, math.pi, sides)
+            assert kept < 4
+            mat, residual = damped_state_projection(27.0, 0.05, math.pi, sides)
+            assert np.max(np.abs(mat - ref_mat)) < 1e-12
+            assert abs(residual - ref_residual) < 1e-12
+
+    @pytest.mark.parametrize(
+        "alpha", ([0.5, 0.0, 1.0], [0.5, -0.1], [2.0, math.nan], 0.0, -0.5)
+    )
+    def test_rejects_nonpositive_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            damped_state_projection(np.asarray(alpha), 0.5)
+
+    @pytest.mark.parametrize("eta", (0.0, -0.1, 1.5))
+    def test_rejects_eta_outside_unit_interval(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            damped_state_projection(np.array([0.5, 1.0]), eta)
+
+    def test_rejects_bad_sides(self):
+        with pytest.raises(ValueError, match="sides"):
+            damped_state_projection(np.array([0.5, 1.0]), 0.5, math.pi, "three")
+
+    @pytest.mark.parametrize("alpha, theta", (([1.0, math.inf], math.pi), (1.0, math.nan)))
+    def test_rejects_non_finite_amplitudes_and_coefficients(self, alpha, theta):
+        with pytest.raises(ValueError, match="non-finite"):
+            damped_state_projection(np.asarray(alpha), 0.5, theta)
+
+    def test_fig3_without_positive_alpha(self, tmp_path):
+        out = tmp_path / "fig3.csv"
+        assert main(["fig", "3", "--steps", "1", "--out", str(out)]) == 0
+        header, line = out.read_text().splitlines()
+        row = dict(zip(header.split(","), map(float, line.split(","))))
+        assert row["alpha"] == 0.0
+        assert row["bound_onesided_eta0.9"] == pytest.approx(math.sqrt(0.9), abs=1e-12)
+        assert row["direct_twosided_eta0.3"] == 0.0
+
+    def test_fig3_direct_columns_equal_per_point(self):
+        header, rows = fig3_rows(steps=41)
+        for row in rows:
+            alpha = row[0]
+            for eta in FIG3_ETAS:
+                for sides in ("one", "two"):
+                    value = row[header.index(f"direct_{sides}sided_eta{eta:g}")]
+                    if alpha == 0.0:
+                        assert value == 0.0
+                    else:
+                        assert value == xstate_concurrence(
+                            damped_state_elements(alpha, eta, math.pi, sides)
+                        )
 
 
 class TestBound:
