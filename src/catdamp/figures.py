@@ -109,12 +109,11 @@ def fig3_rows(alpha_max: float = ALPHA_MAX_DEFAULT, steps: int = ALPHA_STEPS_DEF
     damped three-mode X concurrence, for each requested channel sidedness.
 
     The bound columns use the stable closed forms of the GHZ elements (the
-    validation suite pins them to the exact pipeline at 1e-11).  The direct
-    columns run the exact pipeline through the grid kernel of
-    `damped_state_projection`, one call per (eta, sidedness) over the
-    positive alphas; its output is parity-block-diagonal, so they are zero
-    (see that docstring for why the bytes are stable): emitted to make that
-    explicit.
+    validation suite pins them to both exact routes at 1e-11).  The direct
+    columns run the exact Kraus route of `damped_state_projection`, one call
+    per (eta, sidedness) over the positive alphas; its output is
+    parity-block-diagonal, so they are zero (see that docstring for why the
+    bytes are stable): emitted to make that explicit.
     """
     header = ["alpha"]
     for eta in etas:

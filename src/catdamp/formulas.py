@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 from .coherent import (
-    PRUNE_TOL,
     SuperpositionDensity,
     SuperpositionState,
     apply_loss,
@@ -34,7 +33,7 @@ from .coherent import (
     add,
     tensor,
 )
-from .logical import LogicalBasis, XStateElements, make_basis, project_to_qubits
+from .logical import LogicalBasis, XStateElements, _loss_kraus, make_basis, project_to_qubits
 
 import numpy as np
 
@@ -242,7 +241,9 @@ def ghz_damped_projection(
 ) -> tuple[np.ndarray, float]:
     """Exact 8x8 qubit matrix of the three-mode logical GHZ state after loss
     on one or two modes, projected in the damped logical bases, plus the
-    projection residual."""
+    projection residual.  This is the dyad route (`apply_loss` on the
+    coherent expansion, then `project_to_qubits`), the reference that
+    validation holds `ghz_damped_elements` to."""
     _check_sides(sides)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -258,13 +259,6 @@ def ghz_damped_projection(
     d = canonicalize(d)
     bases = _damped_bases(alpha, eta, 3, sides)
     return project_to_qubits(d, bases)
-
-
-# below this amplitude the dyad expansion of the GHZ carries coefficients
-# ~(2 mu)^-6 whose projection sums cancel catastrophically; the stable closed
-# forms (algebraically identical, verified against the pipeline on the
-# overlap region) take over there
-GHZ_PIPELINE_MIN_ALPHA = 0.2
 
 
 def _basis_weights_sq(alpha: float, eta: float) -> tuple[float, float, float, float]:
@@ -338,106 +332,84 @@ def _x_elements(mat: np.ndarray) -> XStateElements:
     )
 
 
+def _damped_density(
+    psi: np.ndarray, amps: np.ndarray, eta: float, lossy: tuple[int, ...]
+) -> np.ndarray:
+    """(G, 2^m, 2^m) matrices of pure states psi (G, 2^m) after loss.
+
+    psi is in the product logical basis at amplitudes amps (G, m), mode 0
+    the most significant bit.  Each lossy mode applies the pair of
+    `_loss_kraus` along its qubit axis of a (G, B, 2, ..., 2) stack of
+    branch vectors, doubling B; the result is sum_b psi_b psi_b^dagger.
+    Each K has at most one nonzero per row, and the branches are summed in
+    order, so row g does not depend on the other rows.
+    """
+    g, m = amps.shape
+    stack = psi.reshape((g, 1) + (2,) * m)
+    axes = "pqrstuvw"[:m]
+    for mode in lossy:
+        ins = axes[:mode] + "i" + axes[mode + 1:]
+        outs = axes[:mode] + "o" + axes[mode + 1:]
+        stack = np.einsum(f"gkoi,gb{ins}->gkb{outs}", _loss_kraus(amps[:, mode], eta), stack)
+        stack = stack.reshape((g, 2 * stack.shape[2]) + (2,) * m)
+    mat = np.zeros((g, 2**m, 2**m), dtype=complex)
+    for branch in np.moveaxis(stack.reshape(g, stack.shape[1], 2**m), 1, 0):
+        mat += branch[:, :, None] * branch[:, None, :].conj()
+    return mat
+
+
 def ghz_damped_elements(
-    alpha: float, eta: float, sides: str = "one", method: str = "auto"
+    alpha: float, eta: float, sides: str = "one", method: str = "exact"
 ) -> XStateElements:
     """X-structure elements of the damped logical GHZ matrix: diagonals at
     |uuu>, |uuv>, |vvu>, |vvv> and coherences <uuv|rho|vvu>, <uuu|rho|vvv>.
 
-    `method="pipeline"` forces the exact dyad pipeline, `"closed"` the stable
-    closed forms; `"auto"` uses the pipeline wherever it is well conditioned
-    and the closed forms for very small amplitudes.
+    `method="exact"` applies the Kraus pair of `logical._loss_kraus` to
+    (|uuu> + |vvv>)/sqrt(2) at any alpha >= 0; at alpha = 0 its X
+    concurrence is `ghz_concurrence_limit` to one ulp.  `method="closed"`
+    evaluates the stable closed forms (alpha > 0).
     """
     _check_sides(sides)
-    if method not in ("auto", "pipeline", "closed"):
+    if method not in ("exact", "closed"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "closed" or (method == "auto" and alpha < GHZ_PIPELINE_MIN_ALPHA):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if not 0.0 < eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
+    if method == "closed" and alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if not alpha >= 0:
+        raise ValueError("alpha must be nonnegative")
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("eta must lie in (0, 1]")
+    if method == "closed":
         return _ghz_elements_closed(alpha, eta, sides)
-    return _x_elements(ghz_damped_projection(alpha, eta, sides)[0])
-
-
-def ghz_one_sided_elements(alpha: float, eta: float) -> XStateElements:
-    """Damped-GHZ X elements for loss on a single mode."""
-    return ghz_damped_elements(alpha, eta, sides="one")
-
-
-def _require_finite(*arrays: np.ndarray) -> None:
-    for x in arrays:
-        if not np.isfinite(x).all():
-            raise ValueError("non-finite amplitude or coefficient")
-
-
-def _product_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`product_overlap` of coherent products along the last (mode) axis:
-    the per-mode <a_k|b_k> multiplied in mode order."""
-    ov = np.exp(-0.5 * np.abs(a) ** 2 - 0.5 * np.abs(b) ** 2 + np.conj(a) * b)
-    out = ov[..., 0]
-    for k in range(1, ov.shape[-1]):
-        out = out * ov[..., k]
-    return out
-
-
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis one term at a time, in order."""
-    out = terms[..., 0]
-    for k in range(1, terms.shape[-1]):
-        out = out + terms[..., k]
-    return out
-
-
-def _basis_overlaps(amp: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of `make_basis(amp).overlaps(beta)`: (<u|beta>, <v|beta>)
-    for real basis amplitudes amp (G, M) and coherent amplitudes beta
-    (G, N, M), one basis per mode.
-
-    Both branches of the scalar method are evaluated and chosen per element
-    under its conditions, |Re cross| < 700 and log_env > -700; the branch not
-    chosen may overflow, which the caller's errstate silences.
-    """
-    two_a2 = 2.0 * amp**2
-    lam = np.sqrt((1.0 + np.exp(-two_a2)) / 2.0)[:, None]
-    mu = np.sqrt(-np.expm1(-two_a2) / 2.0)[:, None]
-    if (mu == 0.0).any():
-        raise ValueError("|v> is undefined at alpha = 0 (mu = 0)")
-    amp = amp[:, None]
-    cross = amp * beta
-    log_env = -0.5 * amp**2 - 0.5 * np.abs(beta) ** 2
-    env = np.exp(log_env)
-    plus = 0.5 * np.exp(log_env + cross)
-    minus = 0.5 * np.exp(log_env - cross)
-    small = (np.abs(cross.real) < 700.0) & (log_env > -700.0)
-    u = np.where(small, env * np.cosh(cross), plus + minus) / lam
-    v = np.where(small, env * np.sinh(cross), plus - minus) / mu
-    return u, v
+    if not math.isfinite(2.0 * alpha * alpha):
+        raise ValueError("non-finite amplitude")
+    amps = np.full((1, 3), float(alpha))
+    psi = np.zeros((1, 8), dtype=complex)
+    psi[0, 0] = psi[0, 7] = 1.0
+    # the 1/sqrt(2) normalisation enters as one exact factor 1/2
+    mat = 0.5 * _damped_density(psi, amps, eta, _damped_modes(3, sides))[0]
+    return _x_elements(mat)
 
 
 def damped_state_projection(
     alpha: float | np.ndarray, eta: float, theta: float = math.pi, sides: str = "two"
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Exact 8x8 qubit matrix of the three-mode entangled state after loss,
-    projected in the damped logical bases, plus the projection residual.
+    in the damped logical bases, plus a residual.
 
     A float `alpha` gives `(8x8 matrix, residual)`; a 1-D array of G
     amplitudes gives `((G, 8, 8) matrices, (G,) residuals)`, row i equal to
-    the call at `alpha[i]` bit for bit.  The whole grid runs as one array
-    program that mirrors the generic dyad pipeline
-    `density_from_pure(three_mode_state)` -> `apply_loss` -> `canonicalize`
-    -> `project_to_qubits` step by step: the four dyads of |psi><psi| are
-    held as coeff (G, 4) and ket/bra (G, 4, 3) in `density_from_pure`
-    order, and sums run one term at a time in the generic order.  It agrees
-    with the generic pipeline to about 1e-15, and to 2.3e-13 at
-    alpha = 0.01 (odd parity), where both cancel on coefficients of order
-    1/alpha^2.
+    the call at `alpha[i]` bit for bit.  The state |A> + e^{i theta} |-A>,
+    A = (sqrt(2) a, a, a), is the normalised sum of its branch products of
+    (lam_k, +-mu_k) in the product logical basis; loss is the Kraus pair of
+    `logical._loss_kraus`.  Loss keeps the state in the logical spans, so
+    the residual, 1 - trace, is rounding only.  The generic dyad pipeline
+    agrees to about 1e-15, and to 2.3e-13 at alpha = 0.01 (odd parity),
+    where it cancels on coefficients of order 1/alpha^2.
 
-    Fig 3's `direct_*` columns come from this kernel.  The exact output is
-    block diagonal across logical parity, so its X coherences e and f are
-    float noise: on the default fig 3 grid |e| and |f| stay below 1.5e-17,
-    against sqrt(ad) and sqrt(bc) of at least 1.06e-5, and the X concurrence
-    is exactly 0 from this kernel and from the generic pipeline alike.
+    Fig 3's `direct_*` columns come from this route.  K0 keeps a qubit's
+    parity and K1 flips it, so the output is block diagonal across total
+    parity: its X coherences e, f are float noise (~1e-17 on the fig 3
+    grid), far below sqrt(ad) and sqrt(bc), and the X concurrence is 0.
     """
     _check_sides(sides)
     alphas = np.asarray(alpha, dtype=float)
@@ -448,58 +420,27 @@ def damped_state_projection(
         raise ValueError("alpha must be positive")
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
+    amps = np.stack([math.sqrt(2.0) * grid, grid, grid], axis=-1)
+    with np.errstate(over="ignore"):
+        two_a2 = 2.0 * amps**2
+    if not (np.isfinite(two_a2).all() and math.isfinite(theta)):
+        raise ValueError("non-finite amplitude or coefficient")
     g = len(grid)
-    lossy = _damped_modes(3, sides)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # terms |A> and e^{i theta} |-A> on the ladder A = (sqrt(2) a, a, a)
-        ladder = np.stack([math.sqrt(2.0) * grid, grid, grid], axis=-1).astype(complex)
-        amps = np.stack([ladder, -ladder], axis=1)
-        coeff = np.tile(np.array([1.0, complex(math.cos(theta), math.sin(theta))]), (g, 1))
-        _require_finite(amps, coeff)
-        # normalize: <psi|psi> summed over term pairs (k, l), k major
-        n2 = _ordered_sum(
-            (coeff.conj()[:, :, None] * coeff[:, None, :]
-             * _product_overlap(amps[:, :, None], amps[:, None, :])).reshape(g, 4)
-        ).real
-        if (n2 <= 1e-30).any():
-            raise ValueError("cannot normalize a state with (near-)zero norm")
-        coeff = coeff * (1.0 / np.sqrt(n2))[:, None]
-        _require_finite(coeff)
-        # dyads |k><l|, ket index major
-        ket_of, bra_of = [0, 0, 1, 1], [0, 1, 0, 1]
-        rho = coeff[:, ket_of] * coeff[:, bra_of].conj()
-        ket, bra = amps[:, ket_of], amps[:, bra_of]
-        # loss: a beamsplitter to a vacuum environment mode, traced out
-        ct, st = math.sqrt(eta), math.sqrt(1.0 - eta)
-        for mode in lossy:
-            env_ket, env_bra = -st * ket[..., mode:mode + 1], -st * bra[..., mode:mode + 1]
-            ket[..., mode] *= ct
-            bra[..., mode] *= ct
-            rho = rho * _product_overlap(env_bra, env_ket)
-            _require_finite(rho)
-        # canonicalize: the signatures (+-A, +-A) of the four dyads are
-        # distinct, so no dyads merge and only its prune is left.  (Its
-        # 1e-12 key grid merges them only below sqrt(2) alpha = 5e-13, where
-        # merging would move the matrix by O(alpha).)
-        rho = np.where(np.abs(rho) < PRUNE_TOL, 0.0, rho)
-        # product vectors of all kets and bras in the damped bases, grown
-        # mode by mode as in `_product_vectors`
-        basis_amps = np.stack(
-            [math.sqrt(2.0) * grid]
-            + [grid * (math.sqrt(eta) if k in lossy else 1.0) for k in (1, 2)],
-            axis=-1,
-        )
-        u, v = _basis_overlaps(basis_amps, np.concatenate([ket, bra], axis=1))
-        vec = np.ones((g, 8, 1), dtype=complex)
-        for k in range(3):
-            pair = np.stack([u[..., k], v[..., k]], axis=-1)
-            vec = (vec[..., :, None] * pair[..., None, :]).reshape(g, 8, 2 * vec.shape[-1])
-        kets, bras = vec[:, :4], vec[:, 4:].conj()
-        mat = np.zeros((g, 8, 8), dtype=complex)
-        for j in range(4):
-            mat += rho[:, j, None, None] * (kets[:, j, :, None] * bras[:, j, None, :])
-        trace = _ordered_sum(rho * _product_overlap(bra, ket))
-        residual = trace.real - np.trace(mat, axis1=1, axis2=2).real
+    lam = np.sqrt((1.0 + np.exp(-two_a2)) / 2.0)
+    mu = np.sqrt(-np.expm1(-two_a2) / 2.0)
+    # |A> = (x)_k (lam_k |u> + mu_k |v>), grown mode by mode; |-A> flips the
+    # sign of every mu_k, so of the entries with an odd number of v's
+    branch = np.ones((g, 1))
+    for k in range(3):
+        pair = np.stack([lam[:, k], mu[:, k]], axis=-1)
+        branch = (branch[:, :, None] * pair[:, None, :]).reshape(g, 2 * branch.shape[1])
+    parity = np.array([(-1.0) ** bin(i).count("1") for i in range(8)])
+    psi = branch * (1.0 + complex(math.cos(theta), math.sin(theta)) * parity)
+    n2 = np.sum(psi.real**2 + psi.imag**2, axis=1)
+    if (n2 <= 1e-30).any():
+        raise ValueError("cannot normalize a state with (near-)zero norm")
+    mat = _damped_density(psi / np.sqrt(n2)[:, None], amps, eta, _damped_modes(3, sides))
+    residual = 1.0 - np.trace(mat, axis1=1, axis2=2).real
     if alphas.ndim == 0:
         return mat[0], float(residual[0])
     return mat, residual

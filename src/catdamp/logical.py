@@ -78,6 +78,44 @@ def make_basis(alpha: complex) -> LogicalBasis:
     return LogicalBasis(complex(alpha), lam, mu)
 
 
+def _loss_kraus(amp: np.ndarray, eta: float) -> np.ndarray:
+    """Photon loss on one mode as an exact logical-qubit channel.
+
+    For basis amplitudes amp (G,) returns the Kraus pair as a (G, 2, 2, 2)
+    array [g, k, out, in], from the basis at a to the basis at
+    b = sqrt(eta) a.  With c = sqrt(1 - eta) a, the environment's amplitude,
+
+        K0 = diag(lam_b lam_c / lam_a, mu_b lam_c / mu_a)
+        K1 = [[0, lam_b mu_c / mu_a], [mu_b mu_c / lam_a, 0]]
+
+    for the environment ending in its |u> or |v>.  K1 swaps u and v: it is
+    the phase flip.  Each mu^2 comes from expm1, so the mu ratios keep full
+    relative precision; at a = 0 (2 a^2 <= 1e-300) they take their limits,
+    K0 = diag(1, sqrt(eta)) and K1 = sqrt(1 - eta) |u><v|.  No factor
+    exceeds 1, so nothing overflows.
+    """
+    two_a2 = 2.0 * np.asarray(amp, dtype=float) ** 2
+
+    def lam(frac: float) -> np.ndarray:
+        return np.sqrt((1.0 + np.exp(-frac * two_a2)) / 2.0)
+
+    def mu2(frac: float) -> np.ndarray:
+        return -np.expm1(-frac * two_a2) / 2.0
+
+    def mu_over_mu_a(frac: float) -> np.ndarray:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = mu2(frac) / mu2(1.0)
+        return np.sqrt(np.where(two_a2 <= 1e-300, frac, ratio))
+
+    lam_a, lam_b, lam_c = lam(1.0), lam(eta), lam(1.0 - eta)
+    kraus = np.zeros(two_a2.shape + (2, 2, 2))
+    kraus[:, 0, 0, 0] = lam_b * lam_c / lam_a
+    kraus[:, 0, 1, 1] = mu_over_mu_a(eta) * lam_c
+    kraus[:, 1, 0, 1] = lam_b * mu_over_mu_a(1.0 - eta)
+    kraus[:, 1, 1, 0] = np.sqrt(mu2(eta)) * np.sqrt(mu2(1.0 - eta)) / lam_a
+    return kraus
+
+
 def _product_vectors(
     amps: Sequence[Sequence[complex]], bases: Sequence[LogicalBasis]
 ) -> np.ndarray:

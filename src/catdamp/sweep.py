@@ -72,8 +72,6 @@ def _q_conc_even(p: ChannelParams) -> float:
 
 
 def _q_ghz_concurrence(p: ChannelParams) -> float:
-    if p.alpha == 0.0:
-        return ghz_concurrence_limit(p.eta, p.sides)
     return xstate_concurrence(ghz_damped_elements(p.alpha, p.eta, p.sides))
 
 

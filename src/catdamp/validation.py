@@ -240,7 +240,7 @@ def check_ghz_diagonal_weight(rng) -> float:
     worst = 0.0
     for alpha in ALPHA_GRID:
         for eta in ETA_GRID:
-            x = ghz_damped_elements(alpha, eta, "one", method="pipeline")
+            x = ghz_damped_elements(alpha, eta, "one")
             worst = max(worst, abs(x.a + x.b + x.c + x.d - 1.0))
     return worst
 
@@ -250,7 +250,7 @@ def check_ghz_psd(rng) -> float:
     for alpha in ALPHA_GRID:
         for eta in ETA_GRID:
             for sides in ("one", "two"):
-                x = ghz_damped_elements(alpha, eta, sides, method="pipeline")
+                x = ghz_damped_elements(alpha, eta, sides)
                 worst = max(worst, -min(x.min_eigenvalue(), 0.0))
     return worst
 
@@ -268,7 +268,7 @@ def check_ghz_projection_residual(rng) -> float:
 def check_ghz_lossless_reduction(rng) -> float:
     worst = 0.0
     for alpha in (0.3, 0.8, 1.5):
-        x = ghz_damped_elements(alpha, 1.0, "one", method="pipeline")
+        x = ghz_damped_elements(alpha, 1.0, "one")
         worst = max(
             worst,
             abs(x.a - 0.5),
@@ -286,10 +286,13 @@ def check_ghz_closed_form_agreement(rng) -> float:
     for alpha in ALPHA_GRID:
         for eta in (0.1, 0.5, 0.9):
             for sides in ("one", "two"):
-                p = ghz_damped_elements(alpha, eta, sides, method="pipeline")
                 c = ghz_damped_elements(alpha, eta, sides, method="closed")
-                for name in ("a", "b", "c", "d", "e", "f"):
-                    worst = max(worst, abs(getattr(p, name) - getattr(c, name)))
+                for exact in (
+                    ghz_damped_elements(alpha, eta, sides),
+                    _x_elements(ghz_damped_projection(alpha, eta, sides)[0]),
+                ):
+                    for name in ("a", "b", "c", "d", "e", "f"):
+                        worst = max(worst, abs(getattr(exact, name) - getattr(c, name)))
     return worst
 
 
@@ -478,7 +481,8 @@ CHECKS = (
     ("ghz_lossless_reduction", check_ghz_lossless_reduction, 1e-12,
      "eta = 1 at alpha {0.3, 0.8, 1.5}"),
     ("ghz_closed_form_agreement", check_ghz_closed_form_agreement, 1e-11,
-     "pipeline vs stable closed forms, alpha {0.2..2} x eta {0.1, 0.5, 0.9}"),
+     "Kraus route and dyad pipeline vs stable closed forms, "
+     "alpha {0.2..2} x eta {0.1, 0.5, 0.9}"),
     ("ghz_fock_crosscheck", check_ghz_fock_crosscheck, 1e-8,
      "2-mode logical GHZ, 3 parameter points, entrywise Fock matrix"),
     ("bound_domination", check_bound_domination, 1e-9,
@@ -519,11 +523,19 @@ class CheckResult:
 
 def run_validation(seed: int = 0, tolerances: dict[str, float] | None = None,
                    global_tolerance: float | None = None) -> list[CheckResult]:
-    """Run every check; overrides replace the default tolerances."""
+    """Run every check; overrides replace the default tolerances.  An
+    override must be finite and nonnegative: a NaN or negative one would
+    fail every check it covers, an infinite one would pass them all."""
     tolerances = tolerances or {}
     unknown = set(tolerances) - {name for name, *_ in CHECKS}
     if unknown:
         raise ValueError(f"unknown check name(s) in tolerance override: {sorted(unknown)}")
+    overrides = {f"{name}={tol!r}": tol for name, tol in tolerances.items()}
+    if global_tolerance is not None:
+        overrides[repr(global_tolerance)] = global_tolerance
+    for entry, tol in overrides.items():
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"bad tolerance override {entry}: must be finite and nonnegative")
     results = []
     for offset, (name, fn, default_tol, grid) in enumerate(CHECKS):
         tol = tolerances.get(name, global_tolerance if global_tolerance is not None

@@ -135,12 +135,12 @@ def test_criterion_06_ghz_channel_matrix():
     with Criterion(6, "damped-GHZ matrix: weight, positivity, residual, Fock check", 30):
         for alpha in ALPHA_GRID_5:
             for eta in ETA_GRID_5:
-                x = ghz_damped_elements(alpha, eta, "one", method="pipeline")
+                x = ghz_damped_elements(alpha, eta, "one")
                 assert abs(x.a + x.b + x.c + x.d - 1.0) < 1e-10
                 assert x.min_eigenvalue() > -1e-9
                 _, residual = ghz_damped_projection(alpha, eta, "one")
                 assert abs(residual) < 1e-10
-        lossless = ghz_damped_elements(0.8, 1.0, "one", method="pipeline")
+        lossless = ghz_damped_elements(0.8, 1.0, "one")
         assert abs(lossless.a - 0.5) < 1e-12
         assert abs(lossless.d - 0.5) < 1e-12
         assert abs(abs(lossless.f) - 0.5) < 1e-12

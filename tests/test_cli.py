@@ -12,7 +12,7 @@ import catdamp
 from catdamp import cli
 from catdamp.cli import main
 from catdamp.sweep import ConfigError, SweepConfig, config_from_dict, run_sweep, vanishing_point
-from catdamp.validation import CheckResult, format_table
+from catdamp.validation import CheckResult, format_table, run_validation
 
 
 def read_csv(path):
@@ -269,6 +269,29 @@ class TestValidateCommand:
 
     def test_unknown_check_name_is_usage_error(self, tmp_path, capsys):
         assert main(["validate", "--tolerance", "bogus=1"]) == 2
+
+    @pytest.mark.parametrize("args, entry", (
+        (["--tolerance", "nan"], "nan"),
+        (["--tolerance=-1"], "-1.0"),
+        (["--tolerance", "ghz_psd=nan"], "ghz_psd=nan"),
+        (["--tolerance=ghz_psd=-1"], "ghz_psd=-1.0"),
+        (["--tolerance", "inf"], "inf"),
+    ))
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, args, entry):
+        # a NaN or negative tolerance fails every check it covers, which
+        # would read as a validation failure (exit 1)
+        out = tmp_path / "report.json"
+        assert main(["validate", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad tolerance override {entry}:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tolerances, global_tolerance", (
+        ({}, math.nan), ({}, -1.0), ({"ghz_psd": math.nan}, None), ({"ghz_psd": -1e-9}, None),
+    ))
+    def test_run_validation_rejects_bad_tolerance(self, tolerances, global_tolerance):
+        with pytest.raises(ValueError, match="bad tolerance override"):
+            run_validation(0, tolerances, global_tolerance)
 
 
 class TestTableMargin:

@@ -12,8 +12,11 @@ from catdamp.coherent import (
     state_norm,
 )
 from catdamp.figures import FIG3_ETAS, fig3_rows
+from catdamp.sweep import SweepConfig, run_sweep
 from catdamp.formulas import (
     ChannelParams,
+    _ghz_elements_closed,
+    _x_elements,
     concurrence_m,
     concurrence_pure,
     damped_concurrence_bound,
@@ -22,7 +25,6 @@ from catdamp.formulas import (
     ghz_concurrence_limit,
     ghz_damped_elements,
     ghz_damped_projection,
-    ghz_one_sided_elements,
     ghz_state,
     mmode_state,
     mode_ladder,
@@ -31,7 +33,13 @@ from catdamp.formulas import (
     phase_flip_prob_m,
     three_mode_state,
 )
-from catdamp.logical import make_basis, project_to_qubits, wootters_concurrence, xstate_concurrence
+from catdamp.logical import (
+    _loss_kraus,
+    make_basis,
+    project_to_qubits,
+    wootters_concurrence,
+    xstate_concurrence,
+)
 from catdamp.logical import pure_bipartite_concurrence
 
 
@@ -221,7 +229,7 @@ class TestGhzPipeline:
         # pipeline against the analytic element table
         for a in (0.3, 0.8, 1.5):
             for eta in (0.2, 0.6, 0.9):
-                x = ghz_one_sided_elements(a, eta)
+                x = ghz_damped_elements(a, eta, "one")
                 t = math.exp(-2 * (1 - eta) * a * a)
                 lam2 = (1 + math.exp(-2 * a * a)) / 2
                 mu2 = (1 - math.exp(-2 * a * a)) / 2
@@ -239,7 +247,7 @@ class TestGhzPipeline:
     def test_one_sided_unit_diagonal_weight(self):
         for a in (0.3, 1.0, 2.0):
             for eta in (0.1, 0.5, 0.9):
-                x = ghz_one_sided_elements(a, eta)
+                x = ghz_damped_elements(a, eta, "one")
                 assert x.a + x.b + x.c + x.d == pytest.approx(1.0, abs=1e-10)
                 assert x.min_eigenvalue() > -1e-9
 
@@ -271,7 +279,7 @@ class TestGhzPipeline:
         for sides in ("one", "two"):
             for a in (0.2, 0.5, 1.0, 2.0):
                 for eta in (0.1, 0.5, 0.9):
-                    p = ghz_damped_elements(a, eta, sides, method="pipeline")
+                    p = _x_elements(ghz_damped_projection(a, eta, sides)[0])
                     c = ghz_damped_elements(a, eta, sides, method="closed")
                     for name in ("a", "b", "c", "d", "e", "f"):
                         assert abs(getattr(p, name) - getattr(c, name)) < 1e-11
@@ -397,6 +405,100 @@ class TestDampedStateGridKernel:
                         )
 
 
+def superoperator(kraus):
+    """sum_k K_k (x) K_k of a real Kraus set, acting on row-major vec(rho)."""
+    return sum(np.kron(k, k) for k in kraus)
+
+
+class TestKrausRoute:
+    """Loss as the logical-qubit Kraus pair of `_loss_kraus`: the exact route
+    behind `ghz_damped_elements` and `damped_state_projection`."""
+
+    @pytest.mark.parametrize("alpha", (0.0, 1e-8, 1.0, 27.0, 200.0))
+    def test_completeness(self, alpha):
+        for eta in (1e-9, 0.05, 0.3, 0.9, 1.0 - 1e-12, 1.0):
+            k0, k1 = _loss_kraus(np.array([alpha]), eta)[0]
+            defect = k0.T @ k0 + k1.T @ k1 - np.eye(2)
+            assert np.max(np.abs(defect)) <= 1e-15, eta
+
+    def test_limits_at_zero_amplitude(self):
+        for eta in (0.05, 0.3, 0.9, 1.0):
+            k0, k1 = _loss_kraus(np.array([0.0]), eta)[0]
+            assert np.array_equal(k0, np.diag([1.0, math.sqrt(eta)]))
+            assert np.array_equal(k1, [[0.0, math.sqrt(1.0 - eta)], [0.0, 0.0]])
+
+    def test_composition(self):
+        # loss eta1 from the basis at a to sqrt(eta1) a, then eta2 from there,
+        # is loss eta1 * eta2 from a
+        alphas = np.array([0.0, 1e-6, 0.05, 0.4, 1.1, 2.5, 27.0])
+        for eta1, eta2 in ((0.8, 0.5), (0.9, 0.3), (0.6, 0.6), (0.05, 0.99)):
+            first = _loss_kraus(alphas, eta1)
+            second = _loss_kraus(math.sqrt(eta1) * alphas, eta2)
+            both = _loss_kraus(alphas, eta1 * eta2)
+            for g in range(len(alphas)):
+                seq = superoperator(second[g]) @ superoperator(first[g])
+                assert np.max(np.abs(seq - superoperator(both[g]))) < 1e-15, alphas[g]
+
+    @pytest.mark.parametrize("sides", ("one", "two"))
+    @pytest.mark.parametrize("eta", (0.05, 0.3, 0.9, 1.0))
+    def test_ghz_matches_dyad_pipeline(self, eta, sides):
+        # from alpha = 0.2 up, where the dyad expansion is well conditioned
+        for alpha in np.geomspace(0.2, 4.0, 30):
+            x = ghz_damped_elements(float(alpha), eta, sides)
+            p = _x_elements(ghz_damped_projection(float(alpha), eta, sides)[0])
+            for name in ("a", "b", "c", "d", "e", "f"):
+                assert abs(getattr(x, name) - getattr(p, name)) < 1e-12, (alpha, name)
+
+    @pytest.mark.parametrize("sides", ("one", "two"))
+    def test_ghz_matches_closed_forms_at_small_alpha(self, sides):
+        for alpha in np.geomspace(1e-4, 0.19, 40):
+            for eta in (0.05, 0.3, 0.5, 0.9, 1.0):
+                x = ghz_damped_elements(float(alpha), eta, sides)
+                c = _ghz_elements_closed(float(alpha), eta, sides)
+                for name in ("a", "b", "c", "d", "e", "f"):
+                    assert abs(getattr(x, name) - getattr(c, name)) <= 1e-15, (alpha, eta)
+
+    @pytest.mark.parametrize("sides", ("one", "two"))
+    def test_ghz_concurrence_at_zero_amplitude(self, sides):
+        for eta in (0.05, 0.3, 0.6, 0.9, 1.0):
+            limit = ghz_concurrence_limit(eta, sides)
+            value = xstate_concurrence(ghz_damped_elements(0.0, eta, sides))
+            assert abs(value - limit) <= math.ulp(limit), eta
+            _, rows = run_sweep(SweepConfig(
+                steps=2, stop=1.0, quantities=("ghz_concurrence",),
+                fixed=ChannelParams(eta=eta, sides=sides)))
+            assert rows[0][1] == value
+
+    @pytest.mark.parametrize("alpha", (19.0, 27.0, 60.0, 200.0))
+    def test_finite_at_large_amplitude(self, alpha):
+        for sides in ("one", "two"):
+            for eta in (0.05, 0.9, 1.0):
+                mat, residual = damped_state_projection(alpha, eta, 1.0, sides)
+                assert np.isfinite(mat).all() and math.isfinite(residual)
+                assert abs(np.trace(mat).real - 1.0) < 1e-14
+                x = ghz_damped_elements(alpha, eta, sides)
+                assert all(math.isfinite(abs(getattr(x, n))) for n in "abcdef")
+                if sides == "one":
+                    assert x.a + x.b + x.c + x.d == pytest.approx(1.0, abs=1e-14)
+
+    def test_fig3_direct_columns_are_exact_zeros(self):
+        header, rows = fig3_rows()
+        direct = [i for i, name in enumerate(header) if name.startswith("direct_")]
+        assert len(direct) == 2 * len(FIG3_ETAS)
+        assert all(row[i] == 0.0 for row in rows for i in direct)
+
+    def test_removed_methods_and_bad_amplitudes_rejected(self):
+        for method in ("auto", "pipeline"):
+            with pytest.raises(ValueError, match="unknown method"):
+                ghz_damped_elements(1.0, 0.5, "one", method=method)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ghz_damped_elements(-0.1, 0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            ghz_damped_elements(1e200, 0.5)
+        with pytest.raises(ValueError, match="positive"):
+            ghz_damped_elements(0.0, 0.5, method="closed")
+
+
 class TestBound:
     def test_lossless_maximal(self):
         assert damped_concurrence_bound(0.9, 1.0, math.pi, "one") == pytest.approx(
@@ -437,7 +539,7 @@ def test_xstate_matches_wootters_on_ghz_matrix():
     # blocks are exactly rank one there, which limits the general eigensolver
     # inside the Wootters route to ~1e-8
     for a, eta in ((0.5, 0.3), (1.0, 0.7), (1.5, 0.9)):
-        x = ghz_one_sided_elements(a, eta)
+        x = ghz_damped_elements(a, eta, "one")
         assert xstate_concurrence(x) == pytest.approx(
             wootters_concurrence(x.to_matrix()), abs=1e-7
         )
