@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import __version__
-from .figures import ALPHA_MAX_DEFAULT, ALPHA_STEPS_DEFAULT, build_figure, write_csv
+from .figures import build_figure, write_csv
 from .sweep import ConfigError, SweepConfig, load_config, run_sweep
 from .validation import format_table, run_validation, write_report
 
@@ -68,102 +69,80 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sides_list(flag: str | None):
-    if flag is None or flag == "both":
-        return None if flag is None else ("one", "two")
-    return (flag,)
+def _one_or_both(flag: str | None):
+    """A --sides or --parity value as `build_figure` takes it: one value,
+    or None (the figure's default, both) for "both" or no flag."""
+    return None if flag in (None, "both") else (flag,)
 
 
-def _parity_list(flag: str | None):
-    if flag is None or flag == "both":
-        return None if flag is None else ("odd", "even")
-    return (flag,)
+def _with_flags(config: SweepConfig, args) -> SweepConfig:
+    """The config with the grid flags applied; --eta and --m set the fixed
+    value to the last one given."""
+    overrides = {}
+    if args.alpha_max is not None:
+        if config.axis_name != "alpha":
+            raise ConfigError("--alpha-max applies only to alpha sweeps")
+        overrides["stop"] = args.alpha_max
+    if args.steps is not None:
+        overrides["steps"] = args.steps
+    if args.epsilon is not None:
+        overrides["epsilon"] = args.epsilon
+    if args.out is not None:
+        overrides["out"] = args.out
+    fixed_overrides = {}
+    if args.eta is not None:
+        fixed_overrides["eta"] = args.eta[-1]
+    if args.m is not None:
+        fixed_overrides["m"] = args.m[-1]
+    if _one_or_both(args.parity):
+        fixed_overrides["parity"] = args.parity
+    if _one_or_both(args.sides):
+        fixed_overrides["sides"] = args.sides
+    if fixed_overrides:
+        try:
+            overrides["fixed"] = replace(config.fixed, **fixed_overrides)
+        except ValueError as exc:
+            raise ConfigError(f"fixed: {exc}")
+    return replace(config, **overrides)
 
 
-def cmd_fig(args) -> int:
-    out = args.out or f"fig{args.figure}.csv"
+def _write_sweep(command: str, config: SweepConfig, args, default_out: str) -> int:
+    """Apply the flags to the config, build its figure (every flag value of
+    --eta and --m counts there) or its sweep, and write the CSV."""
     try:
-        header, rows = build_figure(
-            args.figure,
-            alpha_max=args.alpha_max if args.alpha_max is not None else ALPHA_MAX_DEFAULT,
-            steps=args.steps if args.steps is not None else ALPHA_STEPS_DEFAULT,
-            etas=args.eta,
-            modes=args.m,
-            sides=_sides_list(args.sides),
-            parities=_parity_list(args.parity),
-        )
+        config = _with_flags(config, args)
+        if config.figure is not None:
+            header, rows = build_figure(
+                config.figure, alpha_max=config.stop, steps=config.steps, etas=args.eta,
+                modes=args.m, sides=_one_or_both(args.sides),
+                parities=_one_or_both(args.parity),
+            )
+        else:
+            header, rows = run_sweep(config)
     except (ValueError, OverflowError) as exc:
-        print(f"catdamp fig: {exc}", file=sys.stderr)
+        print(f"catdamp {command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    out = config.out or default_out
     try:
         write_csv(out, header, rows)
     except OSError as exc:
-        print(f"catdamp fig: cannot write {out}: {exc.strerror}", file=sys.stderr)
+        print(f"catdamp {command}: cannot write {out}: {exc.strerror}", file=sys.stderr)
         return USAGE_ERROR
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
+
+
+def cmd_fig(args) -> int:
+    return _write_sweep("fig", SweepConfig(figure=args.figure), args, f"fig{args.figure}.csv")
 
 
 def cmd_sweep(args) -> int:
     try:
         config = load_config(args.config) if args.config else SweepConfig()
-        overrides = {}
-        if args.alpha_max is not None:
-            if config.axis_name != "alpha":
-                raise ConfigError("--alpha-max applies only to alpha sweeps")
-            overrides["stop"] = args.alpha_max
-        if args.steps is not None:
-            overrides["steps"] = args.steps
-        if args.epsilon is not None:
-            overrides["epsilon"] = args.epsilon
-        if args.out is not None:
-            overrides["out"] = args.out
-        fixed_overrides = {}
-        if args.eta is not None:
-            fixed_overrides["eta"] = args.eta[-1]
-        if args.m is not None:
-            fixed_overrides["m"] = args.m[-1]
-        if args.parity not in (None, "both"):
-            fixed_overrides["parity"] = args.parity
-        if args.sides not in (None, "both"):
-            fixed_overrides["sides"] = args.sides
-        if fixed_overrides:
-            from dataclasses import replace
-
-            try:
-                overrides["fixed"] = replace(config.fixed, **fixed_overrides)
-            except ValueError as exc:
-                raise ConfigError(f"fixed: {exc}")
-        if overrides:
-            from dataclasses import replace
-
-            config = replace(config, **overrides)
-        if config.figure is not None:
-            header, rows = build_figure(
-                config.figure,
-                alpha_max=config.stop,
-                steps=config.steps,
-                etas=args.eta,
-                modes=args.m,
-                sides=_sides_list(args.sides),
-                parities=_parity_list(args.parity),
-            )
-        else:
-            header, rows = run_sweep(config)
     except ConfigError as exc:
         print(f"catdamp sweep: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, OverflowError) as exc:
-        print(f"catdamp sweep: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    out = config.out or "sweep.csv"
-    try:
-        write_csv(out, header, rows)
-    except OSError as exc:
-        print(f"catdamp sweep: cannot write {out}: {exc.strerror}", file=sys.stderr)
-        return USAGE_ERROR
-    print(f"wrote {out} ({len(rows)} rows)")
-    return 0
+    return _write_sweep("sweep", config, args, "sweep.csv")
 
 
 def _parse_tolerances(entries: list[str]):

@@ -1,6 +1,6 @@
 """Figure data generation: deterministic CSV tables for the standard plots.
 
-Each builder returns (header, rows) with plain Python floats; `write_csv`
+`build_figure` returns (header, rows) with plain Python floats; `write_csv`
 renders them with shortest round-trip decimal formatting so identical
 parameters always produce byte-identical files.
 
@@ -16,6 +16,12 @@ Figure catalogue:
    transmissivity;
 5. m-mode odd/even concurrence at transmissivity 0.9;
 6. same as 5 at transmissivity 0.1.
+
+Figure 1 is a (theta, p) surface, built by `fig1_rows`.  Figures 2-6 are
+alpha sweeps: each is an entry of `PRESETS`, whose columns (a registered
+sweep quantity, its fixed parameters and a CSV label) `sweep.run_sweep`
+evaluates over the grid [0, alpha_max].  Their alpha = 0 rows are the limits
+the formulas return.
 """
 
 from __future__ import annotations
@@ -25,18 +31,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .formulas import (
-    _x_elements,
-    concurrence_m,
-    concurrence_pure,
-    damped_state_projection,
-    ghz_concurrence_limit,
-    ghz_damped_elements,
-    phase_flip_prob,
-    phase_flip_prob_limit,
-    phase_flip_prob_m,
-)
-from .logical import xstate_concurrence
+from .formulas import ChannelParams
+from .sweep import Column, Preset, run_sweep
 
 ALPHA_MAX_DEFAULT = 4.0
 ALPHA_STEPS_DEFAULT = 401
@@ -62,16 +58,6 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _alpha_grid(alpha_max: float, steps: int) -> list[float]:
-    if steps < 1 or alpha_max <= 0:
-        raise ValueError("need a positive grid")
-    return [float(a) for a in np.linspace(0.0, alpha_max, steps)]
-
-
-def _eta_tag(eta: float) -> str:
-    return format(eta, "g")
-
-
 def fig1_rows(theta_steps: int = THETA_STEPS_DEFAULT, p_steps: int = P_STEPS_DEFAULT):
     """Surface C(theta, p) = (1 - p^2) / (1 + p^2 cos(theta)).
 
@@ -91,129 +77,60 @@ def fig1_rows(theta_steps: int = THETA_STEPS_DEFAULT, p_steps: int = P_STEPS_DEF
     return header, rows
 
 
-def fig2_rows(alpha_max: float = ALPHA_MAX_DEFAULT, steps: int = ALPHA_STEPS_DEFAULT,
-              etas: Sequence[float] = FIG2_ETAS):
-    header = ["alpha"] + [f"pf_eta{_eta_tag(e)}" for e in etas]
-    rows = []
-    for a in _alpha_grid(alpha_max, steps):
-        row = [a]
-        for eta in etas:
-            row.append(phase_flip_prob_limit(eta) if a == 0.0 else phase_flip_prob(a, eta))
-        rows.append(row)
-    return header, rows
+def _fig2(etas, modes, sides, parities):
+    return [Column("phase_flip_prob", ChannelParams(eta=eta), f"pf_eta{eta:g}") for eta in etas]
 
 
-def fig3_rows(alpha_max: float = ALPHA_MAX_DEFAULT, steps: int = ALPHA_STEPS_DEFAULT,
-              etas: Sequence[float] = FIG3_ETAS, sides: Sequence[str] = ("one", "two")):
-    """Per transmissivity: the damped-GHZ bound factor and the directly
-    damped three-mode X concurrence, for each requested channel sidedness.
-
-    The bound columns use the stable closed forms of the GHZ elements (the
-    validation suite pins them to both exact routes at 1e-11).  The direct
-    columns run the exact Kraus route of `damped_state_projection`, one call
-    per (eta, sidedness) over the positive alphas; its output is
-    parity-block-diagonal, so they are zero (see that docstring for why the
-    bytes are stable): emitted to make that explicit.
-    """
-    header = ["alpha"]
-    for eta in etas:
-        for s in sides:
-            header.append(f"bound_{s}sided_eta{_eta_tag(eta)}")
-        for s in sides:
-            header.append(f"direct_{s}sided_eta{_eta_tag(eta)}")
-    grid = _alpha_grid(alpha_max, steps)
-    positive = [i for i, a in enumerate(grid) if a > 0.0]
-    direct = {}
-    for eta in etas:
-        for s in sides:
-            column = [0.0] * len(grid)
-            mats, _ = damped_state_projection(
-                np.array([grid[i] for i in positive]), eta, math.pi, s
-            )
-            for i, mat in zip(positive, mats):
-                column[i] = xstate_concurrence(_x_elements(mat))
-            direct[eta, s] = column
-    rows = []
-    for i, a in enumerate(grid):
-        row = [a]
-        for eta in etas:
-            for s in sides:
-                if a == 0.0:
-                    row.append(ghz_concurrence_limit(eta, s))
-                else:
-                    factor = xstate_concurrence(
-                        ghz_damped_elements(a, eta, s, method="closed")
-                    )
-                    row.append(factor * concurrence_pure(a, math.pi))
-            for s in sides:
-                row.append(direct[eta, s][i])
-        rows.append(row)
-    return header, rows
-
-
-def fig4_rows(alpha_max: float = ALPHA_MAX_DEFAULT, steps: int = ALPHA_STEPS_DEFAULT,
-              etas: Sequence[float] = FIG4_ETAS, modes: Sequence[int] = MODE_COUNTS):
-    header = ["alpha"] + [
-        f"pfm_m{m}_eta{_eta_tag(eta)}" for eta in etas for m in modes
+def _fig3(etas, modes, sides, parities):
+    return [
+        Column(quantity, ChannelParams(eta=eta, sides=s), f"{prefix}_{s}sided_eta{eta:g}")
+        for eta in etas
+        for quantity, prefix in (("concurrence_bound", "bound"), ("damped_concurrence", "direct"))
+        for s in sides
     ]
-    rows = []
-    for a in _alpha_grid(alpha_max, steps):
-        row = [a]
-        for eta in etas:
-            for m in modes:
-                row.append(
-                    phase_flip_prob_limit(eta) if a == 0.0 else phase_flip_prob_m(a, eta, m)
-                )
-        rows.append(row)
-    return header, rows
 
 
-def _mmode_conc_rows(eta: float, alpha_max: float, steps: int, modes: Sequence[int],
-                     parities: Sequence[str]):
-    header = ["alpha"]
-    for parity in parities:
-        label = "cminus" if parity == "odd" else "cplus"
-        header += [f"{label}_m{m}_eta{_eta_tag(eta)}" for m in modes]
-    rows = []
-    for a in _alpha_grid(alpha_max, steps):
-        row = [a]
-        for parity in parities:
-            for m in modes:
-                row.append(concurrence_m(a, eta, m, parity))
-        rows.append(row)
-    return header, rows
+def _fig4(etas, modes, sides, parities):
+    return [Column("phase_flip_prob_m", ChannelParams(eta=eta, m=m), f"pfm_m{m}_eta{eta:g}")
+            for eta in etas for m in modes]
 
 
-def fig5_rows(alpha_max: float = ALPHA_MAX_DEFAULT, steps: int = ALPHA_STEPS_DEFAULT,
-              eta: float = 0.9, modes: Sequence[int] = MODE_COUNTS,
-              parities: Sequence[str] = ("odd", "even")):
-    return _mmode_conc_rows(eta, alpha_max, steps, modes, parities)
+def _mmode_concurrence(etas, modes, sides, parities):
+    eta = etas[0]
+    return [
+        Column(f"concurrence_{parity}", ChannelParams(eta=eta, m=m),
+               f"{'cminus' if parity == 'odd' else 'cplus'}_m{m}_eta{eta:g}")
+        for parity in parities
+        for m in modes
+    ]
 
 
-def fig6_rows(alpha_max: float = ALPHA_MAX_DEFAULT, steps: int = ALPHA_STEPS_DEFAULT,
-              eta: float = 0.1, modes: Sequence[int] = MODE_COUNTS,
-              parities: Sequence[str] = ("odd", "even")):
-    return _mmode_conc_rows(eta, alpha_max, steps, modes, parities)
+# figure id -> (default transmissivities, the columns for given
+# transmissivities, mode counts, sidednesses and parities); figures 5 and 6
+# take the first transmissivity only
+PRESETS = {
+    2: (FIG2_ETAS, _fig2),
+    3: (FIG3_ETAS, _fig3),
+    4: (FIG4_ETAS, _fig4),
+    5: ((0.9,), _mmode_concurrence),
+    6: ((0.1,), _mmode_concurrence),
+}
 
 
 def build_figure(fig: int, *, alpha_max: float = ALPHA_MAX_DEFAULT,
                  steps: int = ALPHA_STEPS_DEFAULT, etas: Sequence[float] | None = None,
                  modes: Sequence[int] | None = None, sides: Sequence[str] | None = None,
                  parities: Sequence[str] | None = None):
-    """Dispatch a figure id to its row builder, applying overrides."""
-    modes = tuple(modes) if modes else MODE_COUNTS
-    sides = tuple(sides) if sides else ("one", "two")
-    parities = tuple(parities) if parities else ("odd", "even")
+    """Figure 1's surface, or the preset of figures 2-6 run through
+    `run_sweep`, with the given overrides of the preset's values."""
     if fig == 1:
         return fig1_rows()
-    if fig == 2:
-        return fig2_rows(alpha_max, steps, tuple(etas) if etas else FIG2_ETAS)
-    if fig == 3:
-        return fig3_rows(alpha_max, steps, tuple(etas) if etas else FIG3_ETAS, sides)
-    if fig == 4:
-        return fig4_rows(alpha_max, steps, tuple(etas) if etas else FIG4_ETAS, modes)
-    if fig == 5:
-        return fig5_rows(alpha_max, steps, etas[0] if etas else 0.9, modes, parities)
-    if fig == 6:
-        return fig6_rows(alpha_max, steps, etas[0] if etas else 0.1, modes, parities)
-    raise ValueError(f"unknown figure id {fig} (expected 1..6)")
+    if fig not in PRESETS:
+        raise ValueError(f"unknown figure id {fig} (expected 1..6)")
+    default_etas, columns = PRESETS[fig]
+    return run_sweep(Preset(tuple(columns(
+        tuple(etas) if etas else default_etas,
+        tuple(modes) if modes else MODE_COUNTS,
+        tuple(sides) if sides else ("one", "two"),
+        tuple(parities) if parities else ("odd", "even"),
+    )), alpha_max, steps))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .coherent import (
     SuperpositionDensity,
@@ -33,12 +34,50 @@ from .coherent import (
     add,
     tensor,
 )
-from .logical import LogicalBasis, XStateElements, _loss_kraus, make_basis, project_to_qubits
+from .logical import (
+    LogicalBasis,
+    XStateElements,
+    _loss_kraus,
+    make_basis,
+    project_to_qubits,
+    xstate_concurrence,
+)
 
 import numpy as np
 
 PARITIES = ("even", "odd")
 SIDES = ("one", "two")
+
+
+def _check_alpha(alpha: float, positive: bool = False) -> None:
+    """alpha is finite and nonnegative, and positive where the formula has
+    no alpha = 0 value."""
+    if positive and not alpha > 0.0:
+        raise ValueError("alpha must be positive")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha!r}")
+
+
+def _check_eta(eta: float, positive: bool = False) -> None:
+    """eta lies in [0, 1], or in (0, 1] where the damped bases need a
+    nonzero amplitude."""
+    if not (0.0 < eta <= 1.0 if positive else 0.0 <= eta <= 1.0):
+        raise ValueError(f"eta must lie in {'(0' if positive else '[0'}, 1], got {eta!r}")
+
+
+def _check_theta(theta: float) -> None:
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+
+
+def _check_m(m: int) -> None:
+    if not m >= 1:
+        raise ValueError(f"m must be at least 1, got {m!r}")
+
+
+def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,40 +92,30 @@ class ChannelParams:
     sides: str = "one"
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
-        if self.parity not in PARITIES:
-            raise ValueError(f"parity must be one of {PARITIES}")
-        if self.sides not in SIDES:
-            raise ValueError(f"sides must be one of {SIDES}")
-
-
-def _check_parity(parity: str) -> None:
-    if parity not in PARITIES:
-        raise ValueError(f"parity must be one of {PARITIES}, got {parity!r}")
-
-
-def _check_sides(sides: str) -> None:
-    if sides not in SIDES:
-        raise ValueError(f"sides must be one of {SIDES}, got {sides!r}")
+        _check_alpha(self.alpha)
+        _check_eta(self.eta)
+        _check_theta(self.theta)
+        _check_m(self.m)
+        _check_choice("parity", self.parity, PARITIES)
+        _check_choice("sides", self.sides, SIDES)
 
 
 def concurrence_pure(alpha: float, theta: float) -> float:
     """Concurrence of the pure three-mode state across the 0|12 split,
     (1 - e^{-8 a^2}) / (1 + e^{-8 a^2} cos(theta)).
 
-    Undefined only at alpha = 0 with cos(theta) = -1 (the state itself
-    vanishes there); otherwise the value lies in [0, 1] and equals 1 at
-    theta = pi for every alpha > 0.
+    At alpha = 0 the state is the vacuum, a product state, or vanishes
+    (cos(theta) = -1); the value there is 0.  For alpha > 0 it lies in
+    [0, 1] and equals 1 at theta = pi.
     """
+    _check_alpha(alpha)
+    _check_theta(theta)
+    if alpha == 0.0:
+        return 0.0
     e8 = math.exp(-8.0 * alpha * alpha)
     den = 1.0 + e8 * math.cos(theta)
     if den == 0.0:
-        raise ValueError("concurrence undefined at alpha = 0, theta = pi")
+        raise ValueError(f"1 - e^(-8 alpha^2) rounds to 0 at alpha = {alpha!r}")
     return (1.0 - e8) / den
 
 
@@ -98,20 +127,16 @@ def phase_flip_prob(alpha: float, eta: float) -> float:
               / (2 (1 - e^{-8a^2}))
 
     Vanishes at eta = 1, approaches 1/2 for large alpha.  At alpha = 0 the
-    expression is 0/0; use `phase_flip_prob_limit` for the small-field limit.
+    expression is 0/0 and the value is its limit, (1 - eta)/2.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive (limit value: phase_flip_prob_limit)")
+    _check_alpha(alpha)
+    _check_eta(eta)
+    if alpha == 0.0:
+        return (1.0 - eta) / 2.0
     x = alpha * alpha
     em8 = math.exp(-8.0 * x)
     num = 1.0 - em8 - math.exp(-4.0 * (1.0 - eta) * x) + math.exp(-4.0 * (1.0 + eta) * x)
     return num / (2.0 * (1.0 - em8))
-
-
-def phase_flip_prob_limit(eta: float) -> float:
-    """Small-field (alpha -> 0) limit of the phase-flip probability, (1-eta)/2.
-    The same limit holds for every mode count."""
-    return (1.0 - eta) / 2.0
 
 
 def phase_flip_prob_m(alpha: float, eta: float, m: int) -> float:
@@ -121,11 +146,13 @@ def phase_flip_prob_m(alpha: float, eta: float, m: int) -> float:
                    + e^{-2^{m-1}(1+eta) a^2}) / (2 (1 - e^{-2^m a^2}))
 
     For m = 3 this reduces to `phase_flip_prob` exactly (2^3 = 8, 2^2 = 4).
+    At alpha = 0 the value is the limit (1 - eta)/2 for every m.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive (limit value: phase_flip_prob_limit)")
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _check_alpha(alpha)
+    _check_eta(eta)
+    _check_m(m)
+    if alpha == 0.0:
+        return (1.0 - eta) / 2.0
     x = alpha * alpha
     em = math.exp(-(2.0**m) * x)
     num = (
@@ -147,13 +174,10 @@ def concurrence_m(alpha: float, eta: float, m: int, parity: str) -> float:
     the analytic limits: 0 for even parity and 2 eta^{3/2} / (1 + eta) for
     odd (both independent of m).
     """
-    _check_parity(parity)
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    _check_choice("parity", parity, PARITIES)
+    _check_m(m)
+    _check_eta(eta, positive=True)
+    _check_alpha(alpha)
     if alpha == 0.0:
         if parity == "even":
             return 0.0
@@ -169,45 +193,28 @@ def concurrence_m(alpha: float, eta: float, m: int, parity: str) -> float:
 
 
 def mode_ladder(alpha: float, m: int) -> tuple[complex, ...]:
-    """Amplitude ladder (2^{(m-1)/2} a, ..., 2^{1/2} a, a, a) of m+1 modes."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    """Amplitude ladder (2^{(m-1)/2} a, ..., 2^{1/2} a, a, a) of m+1 modes;
+    m = 2 is the three-mode state's (sqrt(2) a, a, a)."""
+    _check_m(m)
     amps = [complex(2.0 ** ((m - 1 - k) / 2.0) * alpha) for k in range(m - 1)]
     amps += [complex(alpha), complex(alpha)]
     return tuple(amps)
 
 
+def cat_state(amps: Sequence[complex], coeff: complex) -> SuperpositionState:
+    """Normalized |A> + coeff |-A> for the amplitude tuple A.  coeff = -1 is
+    the odd state and +1 the even one; the three-mode state with relative
+    phase theta is `cat_state(mode_ladder(a, 2), complex(cos theta, sin theta))`.
+    A state that vanishes, such as the odd one at A = 0, raises ValueError."""
+    neg = tuple(-a for a in amps)
+    return normalize(SuperpositionState.from_terms([(1.0, amps), (coeff, neg)]))
+
+
 def mmode_state(alpha: float, m: int, parity: str) -> SuperpositionState:
     """Normalized (m+1)-mode entangled state with the ladder amplitudes and
     the requested parity.  The odd state vanishes identically at alpha = 0."""
-    _check_parity(parity)
-    if parity == "odd" and alpha == 0.0:
-        raise ValueError("the odd state vanishes at alpha = 0")
-    amps = mode_ladder(alpha, m)
-    neg = tuple(-a for a in amps)
-    sign = 1.0 if parity == "even" else -1.0
-    return normalize(SuperpositionState.from_terms([(1.0, amps), (sign, neg)]))
-
-
-def three_mode_state(alpha: float, theta: float = math.pi) -> SuperpositionState:
-    """Normalized three-mode state with relative phase theta between the
-    (sqrt(2)a, a, a) and -(sqrt(2)a, a, a) branches."""
-    amps = mode_ladder(alpha, 2)
-    neg = tuple(-a for a in amps)
-    phase = complex(math.cos(theta), math.sin(theta))
-    return normalize(SuperpositionState.from_terms([(1.0, amps), (phase, neg)]))
-
-
-def damped_components(alpha: float, eta: float) -> tuple[SuperpositionState, SuperpositionState]:
-    """The (odd, even) pair of normalized three-mode states at the damped
-    amplitudes (sqrt(2)a, sqrt(eta)a, sqrt(eta)a): the unflipped and flipped
-    components of the two-sided loss-channel output."""
-    root = math.sqrt(eta)
-    amps = (complex(math.sqrt(2.0) * alpha), complex(root * alpha), complex(root * alpha))
-    neg = tuple(-a for a in amps)
-    odd = normalize(SuperpositionState.from_terms([(1.0, amps), (-1.0, neg)]))
-    even = normalize(SuperpositionState.from_terms([(1.0, amps), (1.0, neg)]))
-    return odd, even
+    _check_choice("parity", parity, PARITIES)
+    return cat_state(mode_ladder(alpha, m), 1.0 if parity == "even" else -1.0)
 
 
 def ghz_state(alpha: float, modes: int = 3) -> SuperpositionState:
@@ -244,11 +251,9 @@ def ghz_damped_projection(
     projection residual.  This is the dyad route (`apply_loss` on the
     coherent expansion, then `project_to_qubits`), the reference that
     validation holds `ghz_damped_elements` to."""
-    _check_sides(sides)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
+    _check_choice("sides", sides, SIDES)
+    _check_alpha(alpha, positive=True)
+    _check_eta(eta, positive=True)
     # the GHZ expansion is normalized by construction; rechecking its norm
     # through the coherent representation cancels catastrophically at small
     # amplitudes, so skip it
@@ -369,19 +374,15 @@ def ghz_damped_elements(
     concurrence is `ghz_concurrence_limit` to one ulp.  `method="closed"`
     evaluates the stable closed forms (alpha > 0).
     """
-    _check_sides(sides)
+    _check_choice("sides", sides, SIDES)
     if method not in ("exact", "closed"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if not alpha >= 0:
-        raise ValueError("alpha must be nonnegative")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    if method == "closed":
-        return _ghz_elements_closed(alpha, eta, sides)
+    _check_alpha(alpha, positive=method == "closed")
+    _check_eta(eta, positive=True)
     if not math.isfinite(2.0 * alpha * alpha):
         raise ValueError("non-finite amplitude")
+    if method == "closed":
+        return _ghz_elements_closed(alpha, eta, sides)
     amps = np.full((1, 3), float(alpha))
     psi = np.zeros((1, 8), dtype=complex)
     psi[0, 0] = psi[0, 7] = 1.0
@@ -411,15 +412,14 @@ def damped_state_projection(
     parity: its X coherences e, f are float noise (~1e-17 on the fig 3
     grid), far below sqrt(ad) and sqrt(bc), and the X concurrence is 0.
     """
-    _check_sides(sides)
+    _check_choice("sides", sides, SIDES)
     alphas = np.asarray(alpha, dtype=float)
     if alphas.ndim > 1:
         raise ValueError("alpha must be a float or a 1-D array")
     grid = np.atleast_1d(alphas)
     if not (grid > 0).all():
         raise ValueError("alpha must be positive")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
+    _check_eta(eta, positive=True)
     amps = np.stack([math.sqrt(2.0) * grid, grid, grid], axis=-1)
     with np.errstate(over="ignore"):
         two_a2 = 2.0 * amps**2
@@ -454,20 +454,45 @@ def damped_state_elements(
     return _x_elements(damped_state_projection(alpha, eta, theta, sides)[0])
 
 
+def damped_concurrence(
+    alphas: Sequence[float], eta: float, theta: float = math.pi, sides: str = "two"
+) -> list[float]:
+    """X concurrence of the damped three-mode state at each alpha, equal to
+    `xstate_concurrence(damped_state_elements(alpha, ...))` bit for bit,
+    through one `damped_state_projection` call over the nonzero alphas.  At
+    alpha = 0 the state is the vacuum, or vanishes (cos(theta) = -1); the
+    value there is 0, its limit."""
+    _check_choice("sides", sides, SIDES)
+    _check_eta(eta, positive=True)
+    out = [0.0] * len(alphas)
+    nonzero = [i for i, a in enumerate(alphas) if a != 0.0]
+    if nonzero:
+        mats, _ = damped_state_projection(
+            np.array([alphas[i] for i in nonzero]), eta, theta, sides
+        )
+        for i, mat in zip(nonzero, mats):
+            out[i] = xstate_concurrence(_x_elements(mat))
+    return out
+
+
 def damped_concurrence_bound(
     alpha: float, eta: float, theta: float = math.pi, sides: str = "one"
 ) -> float:
     """Upper bound on the surviving concurrence of the damped three-mode
-    state: the damped-GHZ X concurrence times the lossless pure-state
-    concurrence at the same parameters."""
-    from .logical import xstate_concurrence
-
-    factor = xstate_concurrence(ghz_damped_elements(alpha, eta, sides))
+    state: the damped-GHZ X concurrence, from the stable closed forms, times
+    the lossless pure-state concurrence at the same parameters.  At
+    alpha = 0 each factor takes its alpha -> 0 limit: `ghz_concurrence_limit`,
+    and 1 at cos(theta) = -1, 0 elsewhere."""
+    if alpha == 0.0:
+        _check_theta(theta)
+        return ghz_concurrence_limit(eta, sides) * (1.0 if math.cos(theta) == -1.0 else 0.0)
+    factor = xstate_concurrence(ghz_damped_elements(alpha, eta, sides, method="closed"))
     return factor * concurrence_pure(alpha, theta)
 
 
 def ghz_concurrence_limit(eta: float, sides: str = "one") -> float:
     """alpha -> 0 limit of the damped-GHZ X concurrence: sqrt(eta) for
     one-sided loss, eta for two-sided."""
-    _check_sides(sides)
+    _check_choice("sides", sides, SIDES)
+    _check_eta(eta, positive=True)
     return math.sqrt(eta) if sides == "one" else eta

@@ -1,4 +1,5 @@
-"""Generic parameter sweeps over the exposed closed-form quantities.
+"""Parameter sweeps: the one evaluation engine for the registered
+quantities, behind both `catdamp sweep` and figures 2-6.
 
 A sweep is described by a JSON document:
 
@@ -12,10 +13,19 @@ A sweep is described by a JSON document:
       "figure": null
     }
 
-If "figure" is set the sweep delegates to the corresponding figure builder.
-When the axis is `alpha`, each quantity additionally gets an `alpha_star_*`
-column holding the first grid alpha at which the quantity drops below
-epsilon after having been at or above it ("none" when that never happens).
+`run_sweep` evaluates columns over the axis grid.  A column is a registered
+quantity at fixed parameters under a CSV label: a config gives one column
+per quantity, at "fixed", labelled with the quantity's name; a figure's
+`Preset` lists its own.  Each quantity takes the whole axis in one call.  The
+closed forms run per grid point, so every value is the scalar formula's libm
+result; `damped_concurrence` on an alpha axis is one grid call of the exact
+Kraus route.  Values at alpha = 0 are the limits the formulas return.
+
+If "figure" is set, the CLI writes that figure instead (see
+`figures.build_figure`).  When the axis is `alpha`, each quantity of a config
+additionally gets an `alpha_star_*` column holding the first grid alpha at
+which the quantity drops below epsilon after having been at or above it
+("none" when that never happens).
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -30,12 +41,10 @@ from .formulas import (
     ChannelParams,
     concurrence_m,
     concurrence_pure,
+    damped_concurrence,
     damped_concurrence_bound,
-    damped_state_elements,
-    ghz_concurrence_limit,
     ghz_damped_elements,
     phase_flip_prob,
-    phase_flip_prob_limit,
     phase_flip_prob_m,
 )
 from .logical import xstate_concurrence
@@ -45,59 +54,85 @@ AXES = ("alpha", "eta", "theta")
 DEFAULT_QUANTITIES = ("concurrence_odd", "concurrence_even")
 
 
-def _q_pure_concurrence(p: ChannelParams) -> float:
-    if p.alpha == 0.0 and math.cos(p.theta) == -1.0:
-        return 0.0
-    return concurrence_pure(p.alpha, p.theta)
+def _points(axis: str, grid: list[float], p: ChannelParams):
+    """(alpha, eta, theta) at each grid point: the axis runs, the others
+    stay at their fixed values."""
+    fixed = {"alpha": p.alpha, "eta": p.eta, "theta": p.theta}
+    return zip(*(grid if name == axis else repeat(value) for name, value in fixed.items()))
 
 
-def _q_phase_flip(p: ChannelParams) -> float:
-    return phase_flip_prob_limit(p.eta) if p.alpha == 0.0 else phase_flip_prob(p.alpha, p.eta)
+def _pure_concurrence(axis, grid, p):
+    return [concurrence_pure(a, t) for a, _, t in _points(axis, grid, p)]
 
 
-def _q_phase_flip_m(p: ChannelParams) -> float:
-    return (
-        phase_flip_prob_limit(p.eta)
-        if p.alpha == 0.0
-        else phase_flip_prob_m(p.alpha, p.eta, p.m)
-    )
+def _phase_flip(axis, grid, p):
+    return [phase_flip_prob(a, e) for a, e, _ in _points(axis, grid, p)]
 
 
-def _q_conc_odd(p: ChannelParams) -> float:
-    return concurrence_m(p.alpha, p.eta, p.m, "odd")
+def _phase_flip_m(axis, grid, p):
+    return [phase_flip_prob_m(a, e, p.m) for a, e, _ in _points(axis, grid, p)]
 
 
-def _q_conc_even(p: ChannelParams) -> float:
-    return concurrence_m(p.alpha, p.eta, p.m, "even")
+def _conc_odd(axis, grid, p):
+    return [concurrence_m(a, e, p.m, "odd") for a, e, _ in _points(axis, grid, p)]
 
 
-def _q_ghz_concurrence(p: ChannelParams) -> float:
-    return xstate_concurrence(ghz_damped_elements(p.alpha, p.eta, p.sides))
+def _conc_even(axis, grid, p):
+    return [concurrence_m(a, e, p.m, "even") for a, e, _ in _points(axis, grid, p)]
 
 
-def _q_damped_concurrence(p: ChannelParams) -> float:
-    if p.alpha == 0.0:
-        return 0.0
-    return xstate_concurrence(damped_state_elements(p.alpha, p.eta, p.theta, p.sides))
+def _ghz_concurrence(axis, grid, p):
+    return [xstate_concurrence(ghz_damped_elements(a, e, p.sides))
+            for a, e, _ in _points(axis, grid, p)]
 
 
-def _q_bound(p: ChannelParams) -> float:
-    if p.alpha == 0.0:
-        pure = 1.0 if math.cos(p.theta) == -1.0 else concurrence_pure(0.0, p.theta)
-        return ghz_concurrence_limit(p.eta, p.sides) * pure
-    return damped_concurrence_bound(p.alpha, p.eta, p.theta, p.sides)
+def _damped_concurrence(axis, grid, p):
+    if axis == "alpha":
+        return damped_concurrence(grid, p.eta, p.theta, p.sides)
+    return [damped_concurrence([a], e, t, p.sides)[0] for a, e, t in _points(axis, grid, p)]
 
 
+def _bound(axis, grid, p):
+    return [damped_concurrence_bound(a, e, t, p.sides) for a, e, t in _points(axis, grid, p)]
+
+
+# name -> f(axis name, grid values, fixed parameters) -> one value per point
 QUANTITIES = {
-    "pure_concurrence": _q_pure_concurrence,
-    "phase_flip_prob": _q_phase_flip,
-    "phase_flip_prob_m": _q_phase_flip_m,
-    "concurrence_odd": _q_conc_odd,
-    "concurrence_even": _q_conc_even,
-    "ghz_concurrence": _q_ghz_concurrence,
-    "damped_concurrence": _q_damped_concurrence,
-    "concurrence_bound": _q_bound,
+    "pure_concurrence": _pure_concurrence,
+    "phase_flip_prob": _phase_flip,
+    "phase_flip_prob_m": _phase_flip_m,
+    "concurrence_odd": _conc_odd,
+    "concurrence_even": _conc_even,
+    "ghz_concurrence": _ghz_concurrence,
+    "damped_concurrence": _damped_concurrence,
+    "concurrence_bound": _bound,
 }
+
+
+@dataclass(frozen=True)
+class Column:
+    """One output column: a registered quantity at fixed parameters."""
+
+    quantity: str
+    fixed: ChannelParams
+    label: str
+
+
+@dataclass(frozen=True)
+class Preset:
+    """A figure as a sweep: its columns over the alpha grid [0, stop], with
+    no alpha_star columns."""
+
+    columns: tuple[Column, ...]
+    stop: float
+    steps: int
+    axis_name = "alpha"
+    start = 0.0
+    stars = False
+
+    def __post_init__(self):
+        if not (self.steps >= 1 and 0.0 < self.stop < math.inf):
+            raise ValueError("need a positive, finite grid")
 
 
 class ConfigError(ValueError):
@@ -121,10 +156,15 @@ class SweepConfig:
             raise ConfigError(f"axis.name: expected one of {AXES}, got {self.axis_name!r}")
         if self.steps < 1:
             raise ConfigError(f"axis.steps: must be >= 1, got {self.steps}")
+        for end in ("start", "stop"):
+            try:
+                replace(self.fixed, **{self.axis_name: getattr(self, end)})
+            except ValueError as exc:
+                raise ConfigError(f"axis.{end}: {exc}")
         if self.stop < self.start:
             raise ConfigError("axis.stop: must be >= axis.start")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon: must be nonnegative")
+        if not self.epsilon >= 0:
+            raise ConfigError(f"epsilon: must be nonnegative, got {self.epsilon!r}")
         for q in self.quantities:
             if q not in QUANTITIES:
                 raise ConfigError(
@@ -135,6 +175,14 @@ class SweepConfig:
             raise ConfigError("quantities: must not be empty")
         if self.figure is not None and not 1 <= self.figure <= 6:
             raise ConfigError(f"figure: expected 1..6, got {self.figure}")
+
+    @property
+    def columns(self) -> tuple[Column, ...]:
+        return tuple(Column(q, self.fixed, q) for q in self.quantities)
+
+    @property
+    def stars(self) -> bool:
+        return self.axis_name == "alpha"
 
 
 def load_config(path: str) -> SweepConfig:
@@ -186,36 +234,30 @@ def config_from_dict(raw: dict, source: str = "<config>") -> SweepConfig:
     return SweepConfig(**kwargs)
 
 
-def run_sweep(config: SweepConfig):
-    """Evaluate the configured quantities over the grid.
+def run_sweep(config: SweepConfig | Preset):
+    """Evaluate the columns of a config or a figure preset over its grid.
 
-    Returns (header, rows); rows carry the axis value, one column per
-    quantity, and (for alpha sweeps) one constant alpha_star column per
-    quantity.
+    Returns (header, rows); rows carry the axis value, one value per
+    column, and (for configs on the alpha axis) one constant alpha_star
+    column per quantity.
     """
     grid = [float(v) for v in np.linspace(config.start, config.stop, config.steps)]
-    columns: dict[str, list[float]] = {q: [] for q in config.quantities}
-    for value in grid:
-        params = replace(config.fixed, **{config.axis_name: value})
-        for q in config.quantities:
-            try:
-                columns[q].append(QUANTITIES[q](params))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"quantity {q!r} undefined at {config.axis_name} = {value}: {exc}"
-                )
-    header = [config.axis_name] + list(config.quantities)
+    columns = config.columns
+    values = []
+    for c in columns:
+        try:
+            values.append(QUANTITIES[c.quantity](config.axis_name, grid, c.fixed))
+        except ValueError as exc:
+            raise ConfigError(f"quantity {c.quantity!r} over {config.axis_name} "
+                              f"[{config.start}, {config.stop}]: {exc}")
+    header = [config.axis_name] + [c.label for c in columns]
     stars: list[str] = []
-    if config.axis_name == "alpha":
-        for q in config.quantities:
-            star = vanishing_point(grid, columns[q], config.epsilon)
+    if config.stars:
+        for c, column in zip(columns, values):
+            star = vanishing_point(grid, column, config.epsilon)
             stars.append("none" if star is None else repr(float(star)))
-        header += [f"alpha_star_{q}" for q in config.quantities]
-    rows = []
-    for i, value in enumerate(grid):
-        row: list = [value] + [columns[q][i] for q in config.quantities]
-        row += stars
-        rows.append(row)
+        header += [f"alpha_star_{c.label}" for c in columns]
+    rows = [[point, *row, *stars] for point, *row in zip(grid, *values)]
     return header, rows
 
 

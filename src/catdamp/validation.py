@@ -32,17 +32,17 @@ from .coherent import (
 )
 from .formulas import (
     _x_elements,
+    cat_state,
     concurrence_m,
     concurrence_pure,
-    damped_components,
     damped_concurrence_bound,
     damped_state_projection,
     ghz_damped_elements,
     ghz_damped_projection,
     ghz_state,
+    mode_ladder,
     phase_flip_prob,
     phase_flip_prob_m,
-    three_mode_state,
 )
 from .logical import (
     XStateElements,
@@ -119,12 +119,7 @@ def check_backend_equivalence(rng) -> float:
     worst = 0.0
     for alpha in ALPHA_GRID:
         n = fockref.required_levels(alpha)
-        amps = (complex(alpha), complex(alpha))
-        s = normalize(
-            SuperpositionState.from_terms(
-                [(1.0, amps), (-1.0, tuple(-a for a in amps))]
-            )
-        )
+        s = cat_state((complex(alpha), complex(alpha)), -1.0)
         start = fockref.fock_density_from_vector(
             fockref.state_to_fock(s, n), (n + 1, n + 1)
         )
@@ -195,7 +190,8 @@ def check_pure_concurrence_closed_form(rng) -> float:
     worst = 0.0
     for theta in np.linspace(0.0, 2.0 * math.pi, 181):
         for alpha in np.linspace(0.05, 2.0, 40):
-            s = three_mode_state(float(alpha), float(theta))
+            s = cat_state(mode_ladder(float(alpha), 2),
+                          complex(math.cos(float(theta)), math.sin(float(theta))))
             got = pure_bipartite_concurrence(s, [0])
             worst = max(worst, abs(got - concurrence_pure(float(alpha), float(theta))))
     return worst
@@ -203,10 +199,17 @@ def check_pure_concurrence_closed_form(rng) -> float:
 
 def check_phase_flip_extraction(rng) -> float:
     worst = 0.0
+    # e^{i pi} as cos + i sin (imaginary part 1.2e-16), not -1: the
+    # report's bytes depend on it
+    pi_phase = complex(math.cos(math.pi), math.sin(math.pi))
     for alpha in ALPHA_GRID:
+        state = cat_state(mode_ladder(alpha, 2), pi_phase)
         for eta in ETA_GRID:
-            d = apply_loss(apply_loss(three_mode_state(alpha), 1, eta), 2, eta)
-            odd, even = damped_components(alpha, eta)
+            d = apply_loss(apply_loss(state, 1, eta), 2, eta)
+            # the unflipped and flipped components, at the damped amplitudes
+            damped = complex(math.sqrt(eta) * alpha)
+            amps = (complex(math.sqrt(2.0) * alpha), damped, damped)
+            odd, even = cat_state(amps, -1.0), cat_state(amps, 1.0)
             weights, residual = mixture_weights(d, [odd, even])
             pf = phase_flip_prob(alpha, eta)
             worst = max(worst, abs(weights[0] - (1.0 - pf)), abs(weights[1] - pf), residual)
@@ -428,10 +431,7 @@ def check_kraus_completeness(rng) -> float:
 def check_fock_channel_composition(rng) -> float:
     alpha = 1.0
     n = fockref.required_levels(alpha)
-    amps = (complex(alpha),)
-    s = normalize(
-        SuperpositionState.from_terms([(1.0, amps), (-1.0, (-complex(alpha),))])
-    )
+    s = cat_state((complex(alpha),), -1.0)
     rho = fockref.fock_density_from_vector(fockref.state_to_fock(s, n), (n + 1,))
     worst = 0.0
     for e1, e2 in ((0.8, 0.5), (0.9, 0.3), (0.6, 0.6)):

@@ -18,18 +18,17 @@ from scipy.optimize import brentq
 import catdamp
 from catdamp.coherent import apply_loss, density_from_pure
 from catdamp.formulas import (
+    cat_state,
     concurrence_m,
     concurrence_pure,
-    damped_components,
     damped_concurrence_bound,
     damped_state_elements,
     ghz_damped_elements,
     ghz_damped_projection,
     ghz_state,
+    mode_ladder,
     phase_flip_prob,
-    phase_flip_prob_limit,
     phase_flip_prob_m,
-    three_mode_state,
 )
 from catdamp import fockref
 from catdamp.logical import (
@@ -42,6 +41,19 @@ from catdamp.logical import (
 
 ALPHA_GRID_5 = (0.2, 0.65, 1.1, 1.55, 2.0)
 ETA_GRID_5 = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+def three_mode_state(alpha, theta=math.pi):
+    """|A> + e^{i theta} |-A>, normalized, with A = (sqrt(2) a, a, a)."""
+    return cat_state(mode_ladder(alpha, 2), complex(math.cos(theta), math.sin(theta)))
+
+
+def damped_components(alpha, eta):
+    """The odd and even states at the amplitudes (sqrt(2) a, sqrt(eta) a,
+    sqrt(eta) a) that two-sided loss leaves: unflipped and flipped."""
+    damped = complex(math.sqrt(eta) * alpha)
+    amps = (complex(math.sqrt(2.0) * alpha), damped, damped)
+    return cat_state(amps, -1.0), cat_state(amps, 1.0)
 
 
 class Criterion:
@@ -101,7 +113,8 @@ def test_criterion_02_phase_flip_extraction():
 def test_criterion_03_phase_flip_limits():
     with Criterion(3, "phase-flip small- and large-field limits", 1):
         for eta in (0.3, 0.6, 0.9):
-            assert abs(phase_flip_prob(1e-4, eta) - phase_flip_prob_limit(eta)) < 1e-6
+            assert abs(phase_flip_prob(1e-4, eta) - phase_flip_prob(0.0, eta)) < 1e-6
+            assert phase_flip_prob(0.0, eta) == (1.0 - eta) / 2.0
             assert abs(phase_flip_prob(4.0, eta) - 0.5) < 1e-3
 
 

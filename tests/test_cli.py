@@ -105,6 +105,23 @@ class TestFigCommand:
     def test_unwritable_path(self, tmp_path, capsys):
         assert main(["fig", "2", "--out", str(tmp_path / "no" / "dir.csv")]) == 2
 
+    @pytest.mark.parametrize("argv", (
+        ["fig", "2", "--eta", "5"],
+        ["fig", "4", "--eta", "-1"],
+        ["fig", "2", "--eta", "nan"],
+        ["fig", "2", "--alpha-max", "nan"],
+        ["fig", "2", "--alpha-max", "inf"],
+        ["sweep", "--epsilon", "nan"],
+        ["sweep", "--alpha-max", "inf"],
+        ["sweep", "--eta", "nan"],
+    ))
+    def test_bad_parameter_is_usage_error(self, tmp_path, capsys, argv):
+        # each of these once wrote out-of-range, NaN or infinite values
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"catdamp {argv[0]}: ")
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_alpha_star_columns_agree(self, tmp_path):
@@ -157,6 +174,15 @@ class TestSweepCommand:
         }))
         assert main(["sweep", "--config", str(cfg)]) == 0
         assert len(read_csv(tmp_path / "fig.csv")) == 11
+        # `fig N` and a config's "figure": N take the same path
+        cfg.write_text(json.dumps({"figure": 3, "axis": {"steps": 11},
+                                   "out": str(tmp_path / "via_sweep.csv")}))
+        assert main(["sweep", "--config", str(cfg), "--eta", "0.5", "--sides", "two"]) == 0
+        assert main(["fig", "3", "--steps", "11", "--eta", "0.5", "--sides", "two",
+                     "--out", str(tmp_path / "via_fig.csv")]) == 0
+        via_sweep = (tmp_path / "via_sweep.csv").read_bytes()
+        assert via_sweep == (tmp_path / "via_fig.csv").read_bytes()
+        assert via_sweep.startswith(b"alpha,bound_twosided_eta0.5,direct_twosided_eta0.5\n")
 
     def test_unknown_quantity_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -321,6 +347,14 @@ class TestOverflowIsUsageError:
         monkeypatch.setattr(cli, "build_figure", self.overflow)
         assert main(["fig", "3", "--out", str(tmp_path / "f.csv")]) == 2
         assert "catdamp fig: math range error" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_sweep_figure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_figure", self.overflow)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"figure": 3}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "f.csv")]) == 2
+        assert "catdamp sweep: math range error" in capsys.readouterr().err
         assert not (tmp_path / "f.csv").exists()
 
     def test_sweep(self, tmp_path, monkeypatch, capsys):

@@ -11,12 +11,13 @@ from catdamp.coherent import (
     state_inner,
     state_norm,
 )
-from catdamp.figures import FIG3_ETAS, fig3_rows
+from catdamp.figures import FIG3_ETAS, build_figure
 from catdamp.sweep import SweepConfig, run_sweep
 from catdamp.formulas import (
     ChannelParams,
     _ghz_elements_closed,
     _x_elements,
+    cat_state,
     concurrence_m,
     concurrence_pure,
     damped_concurrence_bound,
@@ -29,9 +30,7 @@ from catdamp.formulas import (
     mmode_state,
     mode_ladder,
     phase_flip_prob,
-    phase_flip_prob_limit,
     phase_flip_prob_m,
-    three_mode_state,
 )
 from catdamp.logical import (
     _loss_kraus,
@@ -55,9 +54,10 @@ class TestConcurrencePure:
     def test_vacuum_product(self):
         assert concurrence_pure(0.0, 0.0) == 0.0
 
-    def test_undefined_point(self):
-        with pytest.raises(ValueError):
-            concurrence_pure(0.0, math.pi)
+    def test_vanishing_state_reads_zero(self):
+        # the odd state vanishes at alpha = 0; fig 1 and the sweep emit 0
+        assert concurrence_pure(0.0, math.pi) == 0.0
+        assert concurrence_pure(0.0, 1.0) == 0.0
 
 
 class TestPhaseFlip:
@@ -79,12 +79,15 @@ class TestPhaseFlip:
     def test_small_alpha_limit(self):
         for eta in (0.3, 0.6, 0.9):
             assert phase_flip_prob(1e-4, eta) == pytest.approx(
-                phase_flip_prob_limit(eta), abs=1e-6
+                phase_flip_prob(0.0, eta), abs=1e-6
             )
 
-    def test_alpha_zero_rejected(self):
-        with pytest.raises(ValueError):
-            phase_flip_prob(0.0, 0.5)
+    def test_alpha_zero_limit(self):
+        # the 0/0 point takes its limit (1 - eta)/2, for every mode count
+        for eta in (0.0, 0.3, 0.9, 1.0):
+            assert phase_flip_prob(0.0, eta) == (1.0 - eta) / 2.0
+            for m in (1, 3, 8):
+                assert phase_flip_prob_m(0.0, eta, m) == (1.0 - eta) / 2.0
 
     def test_range(self):
         rng = np.random.default_rng(7)
@@ -141,7 +144,7 @@ class TestMmodeState:
     def test_m2_is_three_mode_state(self):
         a = 0.9
         s1 = mmode_state(a, 2, "odd")
-        s2 = three_mode_state(a, math.pi)
+        s2 = cat_state(mode_ladder(a, 2), complex(math.cos(math.pi), math.sin(math.pi)))
         assert abs(state_inner(s1, s2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_normalized(self):
@@ -311,7 +314,9 @@ def reference_projection(alpha, eta, theta, sides):
     """The generic dyad pipeline that the grid kernel mirrors, with the
     number of dyads left after canonicalize."""
     lossy = (2,) if sides == "one" else (1, 2)
-    d = density_from_pure(three_mode_state(alpha, theta))
+    d = density_from_pure(
+        cat_state(mode_ladder(alpha, 2), complex(math.cos(theta), math.sin(theta)))
+    )
     for mode in lossy:
         d = apply_loss(d, mode, eta)
     d = canonicalize(d)
@@ -391,7 +396,7 @@ class TestDampedStateGridKernel:
         assert row["direct_twosided_eta0.3"] == 0.0
 
     def test_fig3_direct_columns_equal_per_point(self):
-        header, rows = fig3_rows(steps=41)
+        header, rows = build_figure(3, steps=41)
         for row in rows:
             alpha = row[0]
             for eta in FIG3_ETAS:
@@ -482,7 +487,7 @@ class TestKrausRoute:
                     assert x.a + x.b + x.c + x.d == pytest.approx(1.0, abs=1e-14)
 
     def test_fig3_direct_columns_are_exact_zeros(self):
-        header, rows = fig3_rows()
+        header, rows = build_figure(3)
         direct = [i for i, name in enumerate(header) if name.startswith("direct_")]
         assert len(direct) == 2 * len(FIG3_ETAS)
         assert all(row[i] == 0.0 for row in rows for i in direct)
@@ -520,6 +525,24 @@ class TestBound:
         assert damped_concurrence_bound(0.2, 0.05, math.pi, "one") < 0.25
 
 
+@pytest.mark.parametrize("call", (
+    lambda: phase_flip_prob(0.5, 5.0),
+    lambda: phase_flip_prob(0.5, math.nan),
+    lambda: phase_flip_prob(math.nan, 0.5),
+    lambda: phase_flip_prob_m(0.5, -1.0, 3),
+    lambda: phase_flip_prob_m(math.inf, 0.5, 3),
+    lambda: concurrence_m(math.nan, 0.5, 3, "odd"),
+    lambda: concurrence_pure(-0.1, 0.0),
+    lambda: concurrence_pure(0.5, math.nan),
+    lambda: damped_concurrence_bound(0.0, math.nan),
+))
+def test_formulas_reject_bad_parameters(call):
+    # out-of-range and NaN parameters once gave numbers (pf = -3.1e27 at
+    # eta = 5) instead of an error
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_channel_params_validation():
     ChannelParams(alpha=1.0, eta=0.5, theta=0.0, m=3, parity="even", sides="two")
     with pytest.raises(ValueError):
@@ -532,6 +555,10 @@ def test_channel_params_validation():
         ChannelParams(parity="both")
     with pytest.raises(ValueError):
         ChannelParams(sides="three")
+    for bad in ({"alpha": math.nan}, {"alpha": math.inf}, {"eta": math.nan},
+                {"theta": math.nan}, {"m": math.nan}):
+        with pytest.raises(ValueError):
+            ChannelParams(**bad)
 
 
 def test_xstate_matches_wootters_on_ghz_matrix():

@@ -26,7 +26,20 @@ from catdamp.logical import (
     wootters_concurrence,
     xstate_concurrence,
 )
-from catdamp.formulas import damped_components, ghz_state, three_mode_state
+from catdamp.formulas import cat_state, ghz_state, mode_ladder
+
+
+def three_mode_state(alpha, theta=math.pi):
+    """|A> + e^{i theta} |-A>, normalized, with A = (sqrt(2) a, a, a)."""
+    return cat_state(mode_ladder(alpha, 2), complex(math.cos(theta), math.sin(theta)))
+
+
+def damped_components(alpha, eta):
+    """The odd and even states at the amplitudes (sqrt(2) a, sqrt(eta) a,
+    sqrt(eta) a) that two-sided loss leaves: unflipped and flipped."""
+    damped = complex(math.sqrt(eta) * alpha)
+    amps = (complex(math.sqrt(2.0) * alpha), damped, damped)
+    return cat_state(amps, -1.0), cat_state(amps, 1.0)
 
 
 def sqrtm_concurrence(rho):
