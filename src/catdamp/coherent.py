@@ -328,12 +328,40 @@ def is_hermitian(d: SuperpositionDensity, tol: float = 1e-10) -> bool:
     return True
 
 
+def _gram(amps: np.ndarray) -> np.ndarray:
+    """Overlaps <a_i|a_j> of coherent products given as amps (..., r, M), one
+    amplitude per mode along the last axis: an (..., r, r) array."""
+    half_norm = -0.5 * np.sum(np.abs(amps) ** 2, axis=-1)
+    cross = np.sum(amps.conj()[..., :, None, :] * amps[..., None, :, :], axis=-1)
+    return np.exp(half_norm[..., :, None] + half_norm[..., None, :] + cross)
+
+
+def _gram_spectra(amps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Spectra of G operators sum_ij coeffs[g, i, j] |a_gi><a_gj| at once.
+
+    amps (G, r, M) holds r coherent products of M modes per operator and
+    coeffs (G, r, r) their weights.  The eigenvalues are those of
+    S C S with S = Gram^{1/2}, which shares its nonzero spectrum with the
+    operator whatever the overlaps of the support, and are returned as a
+    (G, r) array, each row decreasing.  Every step is a stacked `eigh`,
+    `eigvalsh` or matmul, so row g does the same floating-point operations
+    as a G = 1 call on operator g alone.
+    """
+    w, v = np.linalg.eigh(_gram(np.asarray(amps, dtype=complex)))
+    half = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+    h = half @ np.asarray(coeffs, dtype=complex) @ half
+    evals = np.linalg.eigvalsh(0.5 * (h + np.conj(np.swapaxes(h, 1, 2))))
+    return evals[:, ::-1]
+
+
 def density_spectrum(d: SuperpositionDensity) -> np.ndarray:
     """Eigenvalues of the operator on the span of its coherent support vectors,
     sorted in decreasing order.
 
-    Works through the Gram matrix of the (non-orthogonal) support products, so
-    it is exact up to floating point regardless of amplitude overlap.
+    Collects the distinct ket and bra amplitude tuples as the support and
+    hands them to `_gram_spectra` as one operator.  Working through the Gram
+    matrix of the (non-orthogonal) support keeps the result exact up to
+    floating point regardless of amplitude overlap.
     """
     index: dict[tuple, int] = {}
     vectors: list[tuple[complex, ...]] = []
@@ -346,18 +374,10 @@ def density_spectrum(d: SuperpositionDensity) -> np.ndarray:
     r = len(vectors)
     if r == 0:
         return np.zeros(0)
-    gram = np.empty((r, r), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            gram[i, j] = product_overlap(vectors[i], vectors[j])
-    coeffs = np.zeros((r, r), dtype=complex)
+    coeffs = np.zeros((1, r, r), dtype=complex)
     for dy in d.dyads:
-        coeffs[index[_amp_key(dy.ket)], index[_amp_key(dy.bra)]] += dy.coeff
-    w, v = np.linalg.eigh(gram)
-    half = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    h = half @ coeffs @ half
-    evals = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
-    return np.sort(evals.real)[::-1]
+        coeffs[0, index[_amp_key(dy.ket)], index[_amp_key(dy.bra)]] += dy.coeff
+    return _gram_spectra(np.array([vectors], dtype=complex), coeffs)[0]
 
 
 def density_purity(d: SuperpositionDensity) -> float:

@@ -3,6 +3,12 @@
 Everything here recomputes channel dynamics with dense number-basis matrices
 and Kraus operators.  It exists purely to cross-check the exact
 coherent-superposition backend and is never on the primary computation path.
+
+A channel on one mode of d levels takes Kraus operators that each lie on one
+superdiagonal, as photon loss and the identity do.  `apply_channel` then acts
+band by band on the mode's (ket, bra) index pair: O(d^3 R) work for a density
+whose other modes span R (ket, bra) entries, against O(d^4 R) for a d^2 x d^2
+superoperator.
 """
 
 from __future__ import annotations
@@ -112,29 +118,64 @@ def density_to_fock(d: SuperpositionDensity, n_max: int) -> FockDensity:
     return FockDensity(dims, mat)
 
 
+def _superdiagonals(kraus: Iterable[np.ndarray], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets k (n_ops,) and entries c (n_ops, d) of Kraus operators that each
+    lie on one superdiagonal: op[n - k, n] = c[op, n], with c = 0 for n < k.
+    All-zero operators are dropped; any other operator raises ValueError."""
+    offsets, entries = [], []
+    for i, op in enumerate(kraus):
+        op = np.asarray(op)
+        if op.shape != (d, d):
+            raise ValueError("Kraus operator dimension mismatch")
+        rows, cols = np.nonzero(op)
+        if rows.size == 0:
+            continue
+        k = cols[0] - rows[0]
+        if k < 0 or np.any(cols - rows != k):
+            raise ValueError(f"Kraus operator {i} does not lie on one superdiagonal")
+        c = np.zeros(d, dtype=complex)
+        c[k:] = np.diagonal(op, k)
+        offsets.append(k)
+        entries.append(c)
+    return np.array(offsets, dtype=int), np.array(entries, dtype=complex).reshape(-1, d)
+
+
 def apply_channel(rho: FockDensity, mode: int, kraus: Iterable[np.ndarray]) -> FockDensity:
     """sum_k K_k rho K_k^dag with the operators acting on a single mode.
 
-    The operators are folded into one (d^2, d^2) superoperator so the whole
-    sum is a single matrix product on the vectorized mode indices.
+    Each operator must lie on one superdiagonal k (the identity and every
+    `damping_kraus` operator do), with entries c(n) = K[n - k, n]; any other
+    operator raises ValueError.  Then
+
+        rho'[i, j] = sum_k c(i + k) conj(c(j + k)) rho[i + k, j + k]
+
+    over the mode's (ket, bra) pair, so each band j - i = delta maps onto
+    itself through one upper-triangular L x L matrix, L = d - |delta|.  The
+    2d - 1 bands are 2d - 1 small products (L x L)(L x R), R the size of the
+    rest of the (ket, bra) space: O(d^3 R) work, written into one output
+    matrix, with no d^2 x d^2 superoperator and no transposed copy of rho.
     """
     dims = rho.dims
-    n = len(dims)
-    if not 0 <= mode < n:
+    if not 0 <= mode < len(dims):
         raise ValueError(f"mode {mode} out of range")
     d = dims[mode]
-    super_op = np.zeros((d * d, d * d), dtype=complex)
-    for op in kraus:
-        if op.shape != (d, d):
-            raise ValueError("Kraus operator dimension mismatch")
-        super_op += np.kron(op, op.conj())
-    tens = rho.mat.reshape(*dims, *dims)
-    tens = np.moveaxis(tens, (mode, n + mode), (0, 1))
-    rest = tens.shape[2:]
-    flat = super_op @ np.ascontiguousarray(tens).reshape(d * d, -1)
-    tens = np.moveaxis(flat.reshape((d, d) + rest), (0, 1), (mode, n + mode))
-    total = int(np.prod(dims))
-    return FockDensity(dims, np.ascontiguousarray(tens).reshape(total, total))
+    k, c = _superdiagonals(kraus, d)
+    by_offset = (k == np.arange(d)[:, None]).astype(float)  # (d, n_ops)
+    before, after = int(np.prod(dims[:mode])), int(np.prod(dims[mode + 1:]))
+    src = rho.mat.reshape(before, d, after, before, d, after)
+    out = np.empty(rho.mat.shape, dtype=complex)
+    dst = out.reshape(src.shape)
+    for delta in range(1 - d, d):
+        size = d - abs(delta)
+        p = np.arange(size)
+        ket, bra = p + max(0, -delta), p + max(0, delta)
+        # weight[k, q]: the offset-k operators' c(ket_q) conj(c(bra_q))
+        weight = by_offset @ (c[:, ket] * c[:, bra].conj())
+        shift = p - p[:, None]
+        band_map = np.where(shift >= 0, weight[np.maximum(shift, 0), p], 0.0)
+        band = src[:, ket, :, :, bra, :]  # (size, before, after, before, after)
+        dst[:, ket, :, :, bra, :] = (band_map @ band.reshape(size, -1)).reshape(band.shape)
+    return FockDensity(dims, out)
 
 
 def partial_trace_fock(rho: FockDensity, traced_modes: Iterable[int]) -> FockDensity:

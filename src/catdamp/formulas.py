@@ -127,14 +127,15 @@ def phase_flip_prob(alpha: float, eta: float) -> float:
               / (2 (1 - e^{-8a^2}))
 
     Vanishes at eta = 1, approaches 1/2 for large alpha.  At alpha = 0 the
-    expression is 0/0 and the value is its limit, (1 - eta)/2.
+    expression is 0/0 and the value is its limit, (1 - eta)/2, as it is
+    wherever 1 - e^{-8a^2} rounds to 0 (alpha below about 2.6e-9).
     """
     _check_alpha(alpha)
     _check_eta(eta)
-    if alpha == 0.0:
-        return (1.0 - eta) / 2.0
     x = alpha * alpha
     em8 = math.exp(-8.0 * x)
+    if em8 == 1.0:
+        return (1.0 - eta) / 2.0
     num = 1.0 - em8 - math.exp(-4.0 * (1.0 - eta) * x) + math.exp(-4.0 * (1.0 + eta) * x)
     return num / (2.0 * (1.0 - em8))
 
@@ -146,15 +147,16 @@ def phase_flip_prob_m(alpha: float, eta: float, m: int) -> float:
                    + e^{-2^{m-1}(1+eta) a^2}) / (2 (1 - e^{-2^m a^2}))
 
     For m = 3 this reduces to `phase_flip_prob` exactly (2^3 = 8, 2^2 = 4).
-    At alpha = 0 the value is the limit (1 - eta)/2 for every m.
+    At alpha = 0, and wherever 1 - e^{-2^m a^2} rounds to 0, the value is the
+    limit (1 - eta)/2 for every m.
     """
     _check_alpha(alpha)
     _check_eta(eta)
     _check_m(m)
-    if alpha == 0.0:
-        return (1.0 - eta) / 2.0
     x = alpha * alpha
     em = math.exp(-(2.0**m) * x)
+    if em == 1.0:
+        return (1.0 - eta) / 2.0
     num = (
         1.0
         - em
@@ -172,23 +174,21 @@ def concurrence_m(alpha: float, eta: float, m: int, parity: str) -> float:
 
     with "+" for even parity and "-" for odd.  The alpha = 0 endpoints are
     the analytic limits: 0 for even parity and 2 eta^{3/2} / (1 + eta) for
-    odd (both independent of m).
+    odd (both independent of m).  They are also the values wherever
+    1 - e^{-2^m a^2} or the odd denominator rounds to 0.
     """
     _check_choice("parity", parity, PARITIES)
     _check_m(m)
     _check_eta(eta, positive=True)
     _check_alpha(alpha)
-    if alpha == 0.0:
-        if parity == "even":
-            return 0.0
-        return 2.0 * eta**1.5 / (1.0 + eta)
     x = alpha * alpha
-    p = phase_flip_prob_m(alpha, eta, m)
     g = math.exp(-(2.0 ** (m - 1)) * (1.0 + eta) * x)
-    root = math.sqrt(1.0 - math.exp(-(2.0**m) * x)) * math.sqrt(
-        1.0 - math.exp(-(2.0**m) * eta * x)
-    )
+    em = math.exp(-(2.0**m) * x)
     den = (1.0 - g) if parity == "odd" else (1.0 + g)
+    if em == 1.0 or den == 0.0:
+        return 0.0 if parity == "even" else 2.0 * eta**1.5 / (1.0 + eta)
+    p = phase_flip_prob_m(alpha, eta, m)
+    root = math.sqrt(1.0 - em) * math.sqrt(1.0 - math.exp(-(2.0**m) * eta * x))
     return (1.0 - 2.0 * p) * root / den
 
 

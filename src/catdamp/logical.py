@@ -22,6 +22,8 @@ import numpy as np
 from .coherent import (
     SuperpositionDensity,
     SuperpositionState,
+    _gram,
+    _gram_spectra,
     density_from_pure,
     density_trace,
     density_spectrum,
@@ -241,11 +243,25 @@ def xstate_concurrence(x: XStateElements) -> float:
     return 2.0 * max(0.0, abs(x.e) - math.sqrt(ad), abs(x.f) - math.sqrt(bc))
 
 
+def _spectra_concurrences(evals: np.ndarray, rank_tol: float) -> np.ndarray:
+    """sqrt(2 (1 - Tr rho_A^2)) from reduced spectra (G, r), each row
+    decreasing; raises ValueError if a row has rank > 2."""
+    if evals.shape[1] > 2 and np.any(evals[:, 2] > rank_tol):
+        third = evals[np.argmax(evals[:, 2] > rank_tol), 2]
+        raise ValueError(f"reduced state has rank > 2 (third eigenvalue {third:.3e})")
+    purity = np.sum(np.clip(evals, 0.0, None) ** 2, axis=1)
+    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - purity)))
+
+
 def pure_bipartite_concurrence(
     s: SuperpositionState, side_a_modes: Sequence[int], rank_tol: float = 1e-9
 ) -> float:
     """Concurrence of a normalized pure state across the given bipartition,
     sqrt(2 (1 - Tr rho_A^2)), valid when side A reduces to (at most) a qubit.
+
+    Traces the dyad expansion of |s><s| down to side A and takes its spectrum
+    with `density_spectrum`, one operator through the batched Gram kernel;
+    `_pure_concurrences` is the array route for many states at once.
     """
     side_a = sorted(set(side_a_modes))
     if not side_a or len(side_a) >= s.mode_count:
@@ -255,13 +271,27 @@ def pure_bipartite_concurrence(
         raise ValueError("state must be normalized")
     complement = [k for k in range(s.mode_count) if k not in side_a]
     rho_a = partial_trace(density_from_pure(s), complement)
-    evals = density_spectrum(rho_a)
-    if evals.size > 2 and evals[2] > rank_tol:
-        raise ValueError(
-            f"reduced state has rank > 2 (third eigenvalue {evals[2]:.3e})"
-        )
-    purity = float(np.sum(np.clip(evals, 0.0, None) ** 2))
-    return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
+    return float(_spectra_concurrences(density_spectrum(rho_a)[None, :], rank_tol)[0])
+
+
+def _pure_concurrences(
+    coeffs: np.ndarray, amps: np.ndarray, side_a: Sequence[int], rank_tol: float = 1e-9
+) -> np.ndarray:
+    """`pure_bipartite_concurrence` of G states sum_t coeffs[g, t] |amps[g, t]>
+    at once, each normalized here: coeffs (G, T), amps (G, T, M) -> (G,).
+
+    Side A's reduced operator is sum_tu c_t conj(c_u) <b_u|b_t> |a_t><a_u|,
+    with a and b a term's amplitudes on side A and on the rest; its spectra
+    come from one `_gram_spectra` call over all G states.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    amps = np.asarray(amps, dtype=complex)
+    side_a = sorted(set(side_a))
+    rest = [k for k in range(amps.shape[2]) if k not in side_a]
+    n2 = np.einsum("gt,gtu,gu->g", coeffs.conj(), _gram(amps), coeffs).real
+    c = coeffs / np.sqrt(n2)[:, None]
+    reduced = c[:, :, None] * c.conj()[:, None, :] * np.swapaxes(_gram(amps[:, :, rest]), 1, 2)
+    return _spectra_concurrences(_gram_spectra(amps[:, :, side_a], reduced), rank_tol)
 
 
 def mixture_weights(

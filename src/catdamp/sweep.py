@@ -34,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from itertools import repeat
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -152,6 +153,24 @@ class SweepConfig:
     figure: int | None = None
 
     def __post_init__(self):
+        number, integer, text = (Real, "a number"), (Integral, "an integer"), (str, "a string")
+        text_or_null = ((str, type(None)), "a string or null")
+        integer_or_null = ((Integral, type(None)), "an integer or null")
+        for name, value, (kind, what) in (
+            ("axis.start", self.start, number), ("axis.stop", self.stop, number),
+            ("axis.steps", self.steps, integer), ("epsilon", self.epsilon, number),
+            ("fixed.alpha", self.fixed.alpha, number), ("fixed.eta", self.fixed.eta, number),
+            ("fixed.theta", self.fixed.theta, number), ("fixed.m", self.fixed.m, integer),
+            ("fixed.parity", self.fixed.parity, text), ("fixed.sides", self.fixed.sides, text),
+            ("out", self.out, text_or_null), ("figure", self.figure, integer_or_null),
+        ):
+            # JSON true/false arrive as bool, a subclass of int
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name}: must be {what}, got {value!r}")
+        if isinstance(self.quantities, str) or not all(
+            isinstance(q, str) for q in self.quantities
+        ):
+            raise ConfigError(f"quantities: must be a list of names, got {self.quantities!r}")
         if self.axis_name not in AXES:
             raise ConfigError(f"axis.name: expected one of {AXES}, got {self.axis_name!r}")
         if self.steps < 1:

@@ -46,6 +46,7 @@ from .formulas import (
 )
 from .logical import (
     XStateElements,
+    _pure_concurrences,
     make_basis,
     mixture_weights,
     qubit_coordinates,
@@ -185,16 +186,16 @@ def check_xstate_wootters_agreement(rng) -> float:
 
 
 def check_pure_concurrence_closed_form(rng) -> float:
-    from .logical import pure_bipartite_concurrence
-
-    worst = 0.0
-    for theta in np.linspace(0.0, 2.0 * math.pi, 181):
-        for alpha in np.linspace(0.05, 2.0, 40):
-            s = cat_state(mode_ladder(float(alpha), 2),
-                          complex(math.cos(float(theta)), math.sin(float(theta))))
-            got = pure_bipartite_concurrence(s, [0])
-            worst = max(worst, abs(got - concurrence_pure(float(alpha), float(theta))))
-    return worst
+    # the states cat_state(mode_ladder(alpha, 2), e^{i theta}), theta-major,
+    # as one array call
+    thetas = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, 181)]
+    alphas = [float(a) for a in np.linspace(0.05, 2.0, 40)]
+    ladders = np.array([mode_ladder(a, 2) for a in alphas])
+    amps = np.tile(np.stack([ladders, -ladders], axis=1), (len(thetas), 1, 1))
+    coeffs = [(1.0, complex(math.cos(t), math.sin(t))) for t in thetas for _ in alphas]
+    got = _pure_concurrences(np.array(coeffs), amps, [0])
+    want = [concurrence_pure(a, t) for t in thetas for a in alphas]
+    return float(np.max(np.abs(got - np.array(want))))
 
 
 def check_phase_flip_extraction(rng) -> float:
