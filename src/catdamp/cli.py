@@ -29,7 +29,7 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", type=int, action="append", default=None,
                         help="mode count; repeat to set several")
     parser.add_argument("--parity", choices=["odd", "even", "both"], default=None,
-                        help="which parity branch to emit")
+                        help="which parity branch figures 5 and 6 emit")
     parser.add_argument("--sides", choices=["one", "two", "both"], default=None,
                         help="channel sidedness for damped-state quantities")
     parser.add_argument("--epsilon", type=float, default=None,
@@ -94,8 +94,8 @@ def _with_flags(config: SweepConfig, args) -> SweepConfig:
         fixed_overrides["eta"] = args.eta[-1]
     if args.m is not None:
         fixed_overrides["m"] = args.m[-1]
-    if _one_or_both(args.parity):
-        fixed_overrides["parity"] = args.parity
+    if args.parity is not None and config.figure is None:
+        raise ConfigError("--parity applies only to figures 5 and 6")
     if _one_or_both(args.sides):
         fixed_overrides["sides"] = args.sides
     if fixed_overrides:

@@ -45,17 +45,15 @@ FIG4_ETAS = (0.99, 0.1)
 MODE_COUNTS = (2, 5, 8)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
-
-
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the header and then the rows, one at a time.  A str value is
+    written as it is; any other value v as repr(float(v)), the shortest
+    decimal that reads back as the same float, so an int or np.float64
+    prints as the equal plain float."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join([v if isinstance(v, str) else repr(float(v)) for v in row]) + "\n")
 
 
 def fig1_rows(theta_steps: int = THETA_STEPS_DEFAULT, p_steps: int = P_STEPS_DEFAULT):

@@ -19,6 +19,7 @@ three-mode ladder above.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -49,25 +50,37 @@ PARITIES = ("even", "odd")
 SIDES = ("one", "two")
 
 
-def _check_alpha(alpha: float, positive: bool = False) -> None:
+def _reject(ok, value, message: str) -> None:
+    """Raise ValueError(message.format(v)) unless ok holds; ok and value are
+    floats and bools, or arrays that broadcast, and v is the value at the
+    first element where ok fails."""
+    if isinstance(ok, np.ndarray):
+        if not ok.all():
+            raise ValueError(message.format(np.broadcast_to(value, ok.shape)[~ok][0].item()))
+    elif not ok:
+        raise ValueError(message.format(value))
+
+
+def _check_alpha(alpha: float | np.ndarray, positive: bool = False) -> None:
     """alpha is finite and nonnegative, and positive where the formula has
     no alpha = 0 value."""
-    if positive and not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and nonnegative, got {alpha!r}")
+    if positive:
+        _reject(alpha > 0.0, alpha, "alpha must be positive")
+    _reject((0.0 <= alpha) & (alpha < math.inf), alpha,
+            "alpha must be finite and nonnegative, got {!r}")
 
 
-def _check_eta(eta: float, positive: bool = False) -> None:
+def _check_eta(eta: float | np.ndarray, positive: bool = False) -> None:
     """eta lies in [0, 1], or in (0, 1] where the damped bases need a
     nonzero amplitude."""
-    if not (0.0 < eta <= 1.0 if positive else 0.0 <= eta <= 1.0):
-        raise ValueError(f"eta must lie in {'(0' if positive else '[0'}, 1], got {eta!r}")
+    if positive:
+        _reject((0.0 < eta) & (eta <= 1.0), eta, "eta must lie in (0, 1], got {!r}")
+    else:
+        _reject((0.0 <= eta) & (eta <= 1.0), eta, "eta must lie in [0, 1], got {!r}")
 
 
-def _check_theta(theta: float) -> None:
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+def _check_theta(theta: float | np.ndarray) -> None:
+    _reject((-math.inf < theta) & (theta < math.inf), theta, "theta must be finite, got {!r}")
 
 
 def _check_m(m: int) -> None:
@@ -88,7 +101,6 @@ class ChannelParams:
     eta: float = 1.0
     theta: float = math.pi
     m: int = 3
-    parity: str = "odd"
     sides: str = "one"
 
     def __post_init__(self):
@@ -96,30 +108,84 @@ class ChannelParams:
         _check_eta(self.eta)
         _check_theta(self.theta)
         _check_m(self.m)
-        _check_choice("parity", self.parity, PARITIES)
         _check_choice("sides", self.sides, SIDES)
 
 
-def concurrence_pure(alpha: float, theta: float) -> float:
+# The closed forms below take floats or NumPy arrays that broadcast for
+# alpha and eta (and theta).  A float call returns a float and calls no NumPy
+# function; an array call returns an array of the broadcast shape whose
+# element i equals the float call at element i bit for bit.  One body serves
+# both: +, -, *, / and sqrt are correctly rounded, so NumPy's equal the float
+# path's in the same operation order; every exp, cos and power runs through
+# `_libm`, one libm call per element, because NumPy's own exp and cos differ
+# from libm on a few percent of arguments; and each limit is a mask.
+
+
+def _elementwise(fn):
+    """A closed form whose array call runs with NumPy's floating-point
+    warnings off (alpha^2 overflows to inf, 0 * inf gives nan, as on the
+    float path) and returns the broadcast shape of its array arguments, also
+    where the value does not depend on one of them."""
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        values = (*args, *kwargs.values()) if kwargs else args
+        for value in values:
+            if isinstance(value, np.ndarray):
+                break
+        else:
+            return fn(*args, **kwargs)
+        shape = np.broadcast_shapes(*(v.shape for v in values if isinstance(v, np.ndarray)))
+        with np.errstate(all="ignore"):
+            return np.broadcast_to(fn(*args, **kwargs), shape).copy()
+
+    return call
+
+
+def _libm(fn, x):
+    """fn, a one-argument function of a float, at x, or at each element of
+    an array x."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return fn(x)
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _limit_where(at_limit, limit, num, den):
+    """num / den, and `limit` where `at_limit` holds; den may be 0 there."""
+    if isinstance(at_limit, np.ndarray):
+        return np.where(at_limit, limit, num / np.where(at_limit, 1.0, den))
+    return limit if at_limit else num / den
+
+
+@_elementwise
+def concurrence_pure(alpha: float | np.ndarray, theta: float | np.ndarray):
     """Concurrence of the pure three-mode state across the 0|12 split,
     (1 - e^{-8 a^2}) / (1 + e^{-8 a^2} cos(theta)).
 
     At alpha = 0 the state is the vacuum, a product state, or vanishes
     (cos(theta) = -1); the value there is 0.  For alpha > 0 it lies in
-    [0, 1] and equals 1 at theta = pi.
+    [0, 1] and equals 1 at theta = pi.  A point where cos(theta) = -1 and
+    1 - e^{-8 a^2} rounds to 0 raises ValueError naming its alpha.
+
+    alpha and theta are floats, or NumPy arrays that broadcast: a float call
+    returns a float, and an array call the float calls' values bit for bit,
+    each exp and cos one libm call per element.
     """
     _check_alpha(alpha)
     _check_theta(theta)
-    if alpha == 0.0:
-        return 0.0
-    e8 = math.exp(-8.0 * alpha * alpha)
-    den = 1.0 + e8 * math.cos(theta)
-    if den == 0.0:
-        raise ValueError(f"1 - e^(-8 alpha^2) rounds to 0 at alpha = {alpha!r}")
-    return (1.0 - e8) / den
+    e8 = _libm(math.exp, -8.0 * alpha * alpha)
+    den = 1.0 + e8 * _libm(math.cos, theta)
+    zero = alpha == 0.0
+    _reject((den != 0.0) | zero, alpha, "1 - e^(-8 alpha^2) rounds to 0 at alpha = {!r}")
+    return _limit_where(zero, 0.0, 1.0 - e8, den)
 
 
-def phase_flip_prob(alpha: float, eta: float) -> float:
+@_elementwise
+def phase_flip_prob(alpha: float | np.ndarray, eta: float | np.ndarray):
     """Probability that two-sided loss on the three-mode state acts as a
     logical phase flip:
 
@@ -129,18 +195,22 @@ def phase_flip_prob(alpha: float, eta: float) -> float:
     Vanishes at eta = 1, approaches 1/2 for large alpha.  At alpha = 0 the
     expression is 0/0 and the value is its limit, (1 - eta)/2, as it is
     wherever 1 - e^{-8a^2} rounds to 0 (alpha below about 2.6e-9).
+
+    alpha and eta are floats, or NumPy arrays that broadcast: a float call
+    returns a float, and an array call the float calls' values bit for bit,
+    each exp one libm call per element.
     """
     _check_alpha(alpha)
     _check_eta(eta)
     x = alpha * alpha
-    em8 = math.exp(-8.0 * x)
-    if em8 == 1.0:
-        return (1.0 - eta) / 2.0
-    num = 1.0 - em8 - math.exp(-4.0 * (1.0 - eta) * x) + math.exp(-4.0 * (1.0 + eta) * x)
-    return num / (2.0 * (1.0 - em8))
+    em8 = _libm(math.exp, -8.0 * x)
+    num = (1.0 - em8 - _libm(math.exp, -4.0 * (1.0 - eta) * x)
+           + _libm(math.exp, -4.0 * (1.0 + eta) * x))
+    return _limit_where(em8 == 1.0, (1.0 - eta) / 2.0, num, 2.0 * (1.0 - em8))
 
 
-def phase_flip_prob_m(alpha: float, eta: float, m: int) -> float:
+@_elementwise
+def phase_flip_prob_m(alpha: float | np.ndarray, eta: float | np.ndarray, m: int):
     """Phase-flip probability for the m-mode travelling state,
 
         p_{f,m} = (1 - e^{-2^m a^2} - e^{-2^{m-1}(1-eta) a^2}
@@ -149,24 +219,29 @@ def phase_flip_prob_m(alpha: float, eta: float, m: int) -> float:
     For m = 3 this reduces to `phase_flip_prob` exactly (2^3 = 8, 2^2 = 4).
     At alpha = 0, and wherever 1 - e^{-2^m a^2} rounds to 0, the value is the
     limit (1 - eta)/2 for every m.
+
+    alpha and eta are floats, or NumPy arrays that broadcast: a float call
+    returns a float, and an array call the float calls' values bit for bit,
+    each exp one libm call per element.
     """
     _check_alpha(alpha)
     _check_eta(eta)
     _check_m(m)
     x = alpha * alpha
-    em = math.exp(-(2.0**m) * x)
-    if em == 1.0:
-        return (1.0 - eta) / 2.0
+    em = _libm(math.exp, -(2.0**m) * x)
     num = (
         1.0
         - em
-        - math.exp(-(2.0 ** (m - 1)) * (1.0 - eta) * x)
-        + math.exp(-(2.0 ** (m - 1)) * (1.0 + eta) * x)
+        - _libm(math.exp, -(2.0 ** (m - 1)) * (1.0 - eta) * x)
+        + _libm(math.exp, -(2.0 ** (m - 1)) * (1.0 + eta) * x)
     )
-    return num / (2.0 * (1.0 - em))
+    return _limit_where(em == 1.0, (1.0 - eta) / 2.0, num, 2.0 * (1.0 - em))
 
 
-def concurrence_m(alpha: float, eta: float, m: int, parity: str) -> float:
+@_elementwise
+def concurrence_m(
+    alpha: float | np.ndarray, eta: float | np.ndarray, m: int, parity: str
+):
     """Concurrence of the m-mode state after loss on all travelling modes,
 
         C_pm = (1 - 2 p_{f,m}) / (1 pm e^{-2^{m-1}(1+eta) a^2})
@@ -176,20 +251,23 @@ def concurrence_m(alpha: float, eta: float, m: int, parity: str) -> float:
     the analytic limits: 0 for even parity and 2 eta^{3/2} / (1 + eta) for
     odd (both independent of m).  They are also the values wherever
     1 - e^{-2^m a^2} or the odd denominator rounds to 0.
+
+    alpha and eta are floats, or NumPy arrays that broadcast: a float call
+    returns a float, and an array call the float calls' values bit for bit,
+    each exp and eta^{3/2} one libm call per element.
     """
     _check_choice("parity", parity, PARITIES)
     _check_m(m)
     _check_eta(eta, positive=True)
     _check_alpha(alpha)
     x = alpha * alpha
-    g = math.exp(-(2.0 ** (m - 1)) * (1.0 + eta) * x)
-    em = math.exp(-(2.0**m) * x)
+    g = _libm(math.exp, -(2.0 ** (m - 1)) * (1.0 + eta) * x)
+    em = _libm(math.exp, -(2.0**m) * x)
     den = (1.0 - g) if parity == "odd" else (1.0 + g)
-    if em == 1.0 or den == 0.0:
-        return 0.0 if parity == "even" else 2.0 * eta**1.5 / (1.0 + eta)
     p = phase_flip_prob_m(alpha, eta, m)
-    root = math.sqrt(1.0 - em) * math.sqrt(1.0 - math.exp(-(2.0**m) * eta * x))
-    return (1.0 - 2.0 * p) * root / den
+    root = _sqrt(1.0 - em) * _sqrt(1.0 - _libm(math.exp, -(2.0**m) * eta * x))
+    limit = 0.0 if parity == "even" else 2.0 * _libm(lambda e: e**1.5, eta) / (1.0 + eta)
+    return _limit_where((em == 1.0) | (den == 0.0), limit, (1.0 - 2.0 * p) * root, den)
 
 
 def mode_ladder(alpha: float, m: int) -> tuple[complex, ...]:

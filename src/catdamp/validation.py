@@ -53,6 +53,7 @@ from .logical import (
     wootters_concurrence,
     xstate_concurrence,
 )
+from .sweep import vanishing_point
 
 ALPHA_GRID = (0.2, 0.65, 1.1, 1.55, 2.0)
 ETA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -194,8 +195,8 @@ def check_pure_concurrence_closed_form(rng) -> float:
     amps = np.tile(np.stack([ladders, -ladders], axis=1), (len(thetas), 1, 1))
     coeffs = [(1.0, complex(math.cos(t), math.sin(t))) for t in thetas for _ in alphas]
     got = _pure_concurrences(np.array(coeffs), amps, [0])
-    want = [concurrence_pure(a, t) for t in thetas for a in alphas]
-    return float(np.max(np.abs(got - np.array(want))))
+    want = concurrence_pure(np.array(alphas), np.array(thetas)[:, None]).ravel()
+    return float(np.max(np.abs(got - want)))
 
 
 def check_phase_flip_extraction(rng) -> float:
@@ -221,22 +222,18 @@ def check_phase_flip_extraction(rng) -> float:
 
 
 def check_phase_flip_identity_m3(rng) -> float:
-    worst = 0.0
-    for _ in range(10_000):
-        alpha = float(rng.uniform(0.05, 4.0))
-        eta = float(rng.uniform(0.01, 1.0))
-        worst = max(worst, abs(phase_flip_prob_m(alpha, eta, 3) - phase_flip_prob(alpha, eta)))
-    return worst
+    # 10 000 (alpha, eta) pairs, drawn alpha, eta, alpha, eta, ...
+    alpha, eta = rng.uniform((0.05, 0.01), (4.0, 1.0), size=(10_000, 2)).T
+    return float(np.max(np.abs(phase_flip_prob_m(alpha, eta, 3) - phase_flip_prob(alpha, eta))))
 
 
 def check_phase_flip_gap_positive(rng) -> float:
     # 1 - 2 p_{f,m} > 0 for finite alpha: report any nonpositive gap
     worst = 0.0
+    alphas = np.linspace(0.05, 4.0, 80)[:, None]
     for m in (1, 2, 5, 8):
-        for alpha in np.linspace(0.05, 4.0, 80):
-            for eta in ETA_GRID:
-                gap = 1.0 - 2.0 * phase_flip_prob_m(float(alpha), eta, m)
-                worst = max(worst, -min(gap, 0.0))
+        gap = 1.0 - 2.0 * phase_flip_prob_m(alphas, np.array(ETA_GRID), m)
+        worst = max(worst, -float(np.min(gap)))
     return worst
 
 
@@ -331,8 +328,8 @@ def check_bound_domination(rng) -> float:
 def check_mmode_lossless_maximal(rng) -> float:
     worst = 0.0
     for m in (2, 5, 8):
-        for alpha in np.linspace(0.1, 3.0, 30):
-            worst = max(worst, abs(concurrence_m(float(alpha), 1.0, m, "odd") - 1.0))
+        vals = concurrence_m(np.linspace(0.1, 3.0, 30), 1.0, m, "odd")
+        worst = max(worst, float(np.max(np.abs(vals - 1.0))))
     return worst
 
 
@@ -354,16 +351,8 @@ def check_mmode_vanishing_coincidence(rng) -> float:
     for m in (2, 5, 8):
         idx = {}
         for parity in ("odd", "even"):
-            vals = [concurrence_m(float(a), 0.9, m, parity) for a in grid]
-            seen_above = False
-            found = None
-            for i, v in enumerate(vals):
-                if v >= eps:
-                    seen_above = True
-                elif seen_above:
-                    found = i
-                    break
-            idx[parity] = found
+            vals = concurrence_m(grid, 0.9, m, parity)
+            idx[parity] = vanishing_point(range(len(grid)), vals, eps)
         if (idx["odd"] is None) != (idx["even"] is None):
             return float(len(grid))
         if idx["odd"] is not None:
@@ -375,9 +364,8 @@ def check_mmode_odd_monotone(rng) -> float:
     worst = 0.0
     grid = np.linspace(0.5, 4.0, 176)
     for m in (2, 5, 8):
-        vals = [concurrence_m(float(a), 0.9, m, "odd") for a in grid]
-        for earlier, later in zip(vals, vals[1:]):
-            worst = max(worst, later - earlier)
+        vals = concurrence_m(grid, 0.9, m, "odd")
+        worst = max(worst, float(np.max(np.diff(vals))))
     return max(worst, 0.0)
 
 
@@ -385,7 +373,7 @@ def check_mmode_even_unimodal(rng) -> float:
     grid = np.linspace(0.5, 4.0, 176)
     extra_changes = 0
     for m in (2, 5, 8):
-        vals = np.array([concurrence_m(float(a), 0.9, m, "even") for a in grid])
+        vals = concurrence_m(grid, 0.9, m, "even")
         diffs = np.diff(vals)
         signs = np.sign(diffs[np.abs(diffs) > 1e-15])
         changes = int(np.sum(signs[1:] != signs[:-1]))

@@ -86,3 +86,36 @@ def test_sweep_config_checks_types_directly():
         SweepConfig(steps="401")
     with pytest.raises(ConfigError, match="quantities"):
         SweepConfig(quantities="concurrence_odd")
+
+
+def test_sweep_parity_flag_is_usage_error(tmp_path, capsys):
+    # no sweep quantity reads a parity: concurrence_odd/_even name theirs
+    for flag in ("odd", "even", "both"):
+        out = tmp_path / f"{flag}.csv"
+        assert main(["sweep", "--parity", flag, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "catdamp sweep: --parity applies only to figures 5 and 6\n")
+        assert not out.exists()
+
+
+def test_config_fixed_parity_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fixed": {"parity": "even"}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"catdamp sweep: {cfg}: fixed: ")
+    assert "parity" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_parity_still_selects_the_figure_branches(tmp_path, capsys):
+    fig5 = tmp_path / "fig5.csv"
+    assert main(["fig", "5", "--parity", "odd", "--out", str(fig5)]) == 0
+    assert fig5.read_text().splitlines()[0].split(",")[1:] == [
+        f"cminus_m{m}_eta0.9" for m in (2, 5, 8)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"figure": 6}))
+    fig6 = tmp_path / "fig6.csv"
+    assert main(["sweep", "--config", str(cfg), "--parity", "even", "--out", str(fig6)]) == 0
+    assert fig6.read_text().splitlines()[0].split(",")[1:] == [
+        f"cplus_m{m}_eta0.1" for m in (2, 5, 8)]

@@ -544,15 +544,16 @@ def test_formulas_reject_bad_parameters(call):
 
 
 def test_channel_params_validation():
-    ChannelParams(alpha=1.0, eta=0.5, theta=0.0, m=3, parity="even", sides="two")
+    ChannelParams(alpha=1.0, eta=0.5, theta=0.0, m=3, sides="two")
+    # parity lives in the quantity names, not in the parameters
+    with pytest.raises(TypeError):
+        ChannelParams(parity="even")
     with pytest.raises(ValueError):
         ChannelParams(alpha=-1.0)
     with pytest.raises(ValueError):
         ChannelParams(eta=1.5)
     with pytest.raises(ValueError):
         ChannelParams(m=0)
-    with pytest.raises(ValueError):
-        ChannelParams(parity="both")
     with pytest.raises(ValueError):
         ChannelParams(sides="three")
     for bad in ({"alpha": math.nan}, {"alpha": math.inf}, {"eta": math.nan},
