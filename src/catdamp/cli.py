@@ -94,7 +94,7 @@ def _with_flags(config: SweepConfig, args) -> SweepConfig:
         fixed_overrides["eta"] = args.eta[-1]
     if args.m is not None:
         fixed_overrides["m"] = args.m[-1]
-    if args.parity is not None and config.figure is None:
+    if args.parity is not None and config.figure not in (5, 6):
         raise ConfigError("--parity applies only to figures 5 and 6")
     if _one_or_both(args.sides):
         fixed_overrides["sides"] = args.sides

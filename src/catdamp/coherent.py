@@ -26,6 +26,9 @@ AMP_MERGE_TOL = 1e-12
 
 _KEY_SCALE = 1.0 / AMP_MERGE_TOL
 
+# largest mismatch between a dyad and its conjugate partner in `is_hermitian`
+HERMITIAN_TOL = 1e-10
+
 
 def coherent_overlap(a: complex, b: complex) -> complex:
     """Overlap <a|b> of two coherent states, exp(-|a|^2/2 - |b|^2/2 + a* b)."""
@@ -205,15 +208,6 @@ def beamsplitter(
     return SuperpositionState(s.mode_count, tuple(terms))
 
 
-def attach_vacuum(s: SuperpositionState, count: int = 1) -> SuperpositionState:
-    """Append `count` modes in the vacuum state (amplitude 0)."""
-    if count <= 0:
-        raise ValueError("count must be positive")
-    pad = (0j,) * count
-    terms = tuple(CoherentTerm(t.coeff, t.amps + pad) for t in s.terms)
-    return SuperpositionState(s.mode_count + count, terms)
-
-
 def density_from_pure(s: SuperpositionState, check_norm: bool = True) -> SuperpositionDensity:
     """|s><s| expanded into dyads.  Expects a normalized state.
 
@@ -314,16 +308,16 @@ def canonicalize(d: SuperpositionDensity, tol: float = PRUNE_TOL) -> Superpositi
     return SuperpositionDensity(d.mode_count, dyads)
 
 
-def is_hermitian(d: SuperpositionDensity, tol: float = 1e-10) -> bool:
+def is_hermitian(d: SuperpositionDensity) -> bool:
     """True if every dyad has a conjugate partner of matching weight."""
     c = canonicalize(d, tol=0.0)
     table = {(_amp_key(dy.ket), _amp_key(dy.bra)): dy.coeff for dy in c.dyads}
     for (kk, kb), coeff in table.items():
         partner = table.get((kb, kk))
         if partner is None:
-            if abs(coeff) > tol:
+            if abs(coeff) > HERMITIAN_TOL:
                 return False
-        elif abs(partner - coeff.conjugate()) > tol:
+        elif abs(partner - coeff.conjugate()) > HERMITIAN_TOL:
             return False
     return True
 

@@ -154,7 +154,7 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-def _limit_where(at_limit, limit, num, den):
+def _limit_where(at_limit, limit, num, den=1.0):
     """num / den, and `limit` where `at_limit` holds; den may be 0 there."""
     if isinstance(at_limit, np.ndarray):
         return np.where(at_limit, limit, num / np.where(at_limit, 1.0, den))
@@ -204,8 +204,9 @@ def phase_flip_prob(alpha: float | np.ndarray, eta: float | np.ndarray):
     _check_eta(eta)
     x = alpha * alpha
     em8 = _libm(math.exp, -8.0 * x)
-    num = (1.0 - em8 - _libm(math.exp, -4.0 * (1.0 - eta) * x)
-           + _libm(math.exp, -4.0 * (1.0 + eta) * x))
+    # the loss exponent is 0 at eta = 1, also where x = inf makes it -0.0 * inf
+    lost = _limit_where(eta == 1.0, 0.0, -4.0 * (1.0 - eta) * x)
+    num = 1.0 - em8 - _libm(math.exp, lost) + _libm(math.exp, -4.0 * (1.0 + eta) * x)
     return _limit_where(em8 == 1.0, (1.0 - eta) / 2.0, num, 2.0 * (1.0 - em8))
 
 
@@ -229,12 +230,9 @@ def phase_flip_prob_m(alpha: float | np.ndarray, eta: float | np.ndarray, m: int
     _check_m(m)
     x = alpha * alpha
     em = _libm(math.exp, -(2.0**m) * x)
-    num = (
-        1.0
-        - em
-        - _libm(math.exp, -(2.0 ** (m - 1)) * (1.0 - eta) * x)
-        + _libm(math.exp, -(2.0 ** (m - 1)) * (1.0 + eta) * x)
-    )
+    # the loss exponent is 0 at eta = 1, also where x = inf makes it -0.0 * inf
+    lost = _limit_where(eta == 1.0, 0.0, -(2.0 ** (m - 1)) * (1.0 - eta) * x)
+    num = 1.0 - em - _libm(math.exp, lost) + _libm(math.exp, -(2.0 ** (m - 1)) * (1.0 + eta) * x)
     return _limit_where(em == 1.0, (1.0 - eta) / 2.0, num, 2.0 * (1.0 - em))
 
 
@@ -286,13 +284,6 @@ def cat_state(amps: Sequence[complex], coeff: complex) -> SuperpositionState:
     A state that vanishes, such as the odd one at A = 0, raises ValueError."""
     neg = tuple(-a for a in amps)
     return normalize(SuperpositionState.from_terms([(1.0, amps), (coeff, neg)]))
-
-
-def mmode_state(alpha: float, m: int, parity: str) -> SuperpositionState:
-    """Normalized (m+1)-mode entangled state with the ladder amplitudes and
-    the requested parity.  The odd state vanishes identically at alpha = 0."""
-    _check_choice("parity", parity, PARITIES)
-    return cat_state(mode_ladder(alpha, m), 1.0 if parity == "even" else -1.0)
 
 
 def ghz_state(alpha: float, modes: int = 3) -> SuperpositionState:

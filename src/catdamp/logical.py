@@ -32,6 +32,12 @@ from .coherent import (
 )
 
 
+# eigenvalue slack of the PSD and rank-2 tests; Gram condition limit of `mixture_weights`
+PSD_TOL = 1e-9
+RANK_TOL = 1e-9
+COND_LIMIT = 1e12
+
+
 @dataclass(frozen=True)
 class LogicalBasis:
     """Orthonormal qubit basis for the span of |alpha> and |-alpha>."""
@@ -218,14 +224,14 @@ _SPIN_FLIP = np.array(
 )
 
 
-def wootters_concurrence(rho: np.ndarray, psd_tol: float = 1e-9) -> float:
+def wootters_concurrence(rho: np.ndarray) -> float:
     """Two-qubit mixed-state concurrence from the spin-flip spectrum."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("expected a 4x4 density matrix")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
         raise ValueError("density matrix must be Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -psd_tol:
+    if np.linalg.eigvalsh(rho).min() < -PSD_TOL:
         raise ValueError("density matrix must be positive semidefinite")
     flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     evals = np.linalg.eigvals(rho @ flipped)
@@ -243,18 +249,18 @@ def xstate_concurrence(x: XStateElements) -> float:
     return 2.0 * max(0.0, abs(x.e) - math.sqrt(ad), abs(x.f) - math.sqrt(bc))
 
 
-def _spectra_concurrences(evals: np.ndarray, rank_tol: float) -> np.ndarray:
+def _spectra_concurrences(evals: np.ndarray) -> np.ndarray:
     """sqrt(2 (1 - Tr rho_A^2)) from reduced spectra (G, r), each row
     decreasing; raises ValueError if a row has rank > 2."""
-    if evals.shape[1] > 2 and np.any(evals[:, 2] > rank_tol):
-        third = evals[np.argmax(evals[:, 2] > rank_tol), 2]
+    if evals.shape[1] > 2 and np.any(evals[:, 2] > RANK_TOL):
+        third = evals[np.argmax(evals[:, 2] > RANK_TOL), 2]
         raise ValueError(f"reduced state has rank > 2 (third eigenvalue {third:.3e})")
     purity = np.sum(np.clip(evals, 0.0, None) ** 2, axis=1)
     return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - purity)))
 
 
 def pure_bipartite_concurrence(
-    s: SuperpositionState, side_a_modes: Sequence[int], rank_tol: float = 1e-9
+    s: SuperpositionState, side_a_modes: Sequence[int]
 ) -> float:
     """Concurrence of a normalized pure state across the given bipartition,
     sqrt(2 (1 - Tr rho_A^2)), valid when side A reduces to (at most) a qubit.
@@ -271,11 +277,11 @@ def pure_bipartite_concurrence(
         raise ValueError("state must be normalized")
     complement = [k for k in range(s.mode_count) if k not in side_a]
     rho_a = partial_trace(density_from_pure(s), complement)
-    return float(_spectra_concurrences(density_spectrum(rho_a)[None, :], rank_tol)[0])
+    return float(_spectra_concurrences(density_spectrum(rho_a)[None, :])[0])
 
 
 def _pure_concurrences(
-    coeffs: np.ndarray, amps: np.ndarray, side_a: Sequence[int], rank_tol: float = 1e-9
+    coeffs: np.ndarray, amps: np.ndarray, side_a: Sequence[int]
 ) -> np.ndarray:
     """`pure_bipartite_concurrence` of G states sum_t coeffs[g, t] |amps[g, t]>
     at once, each normalized here: coeffs (G, T), amps (G, T, M) -> (G,).
@@ -291,13 +297,12 @@ def _pure_concurrences(
     n2 = np.einsum("gt,gtu,gu->g", coeffs.conj(), _gram(amps), coeffs).real
     c = coeffs / np.sqrt(n2)[:, None]
     reduced = c[:, :, None] * c.conj()[:, None, :] * np.swapaxes(_gram(amps[:, :, rest]), 1, 2)
-    return _spectra_concurrences(_gram_spectra(amps[:, :, side_a], reduced), rank_tol)
+    return _spectra_concurrences(_gram_spectra(amps[:, :, side_a], reduced))
 
 
 def mixture_weights(
     d: SuperpositionDensity,
     components: Sequence[SuperpositionState],
-    cond_limit: float = 1e12,
 ) -> tuple[list[float], float]:
     """Decompose a density over pure components in the logical-qubit picture.
 
@@ -326,7 +331,7 @@ def mixture_weights(
         target[i] = np.trace(projectors[i] @ dmat).real
         for j in range(k):
             gram[i, j] = np.trace(projectors[i] @ projectors[j]).real
-    if np.linalg.cond(gram) > cond_limit:
+    if np.linalg.cond(gram) > COND_LIMIT:
         raise ValueError("component set is ill-conditioned (near-degenerate dyads)")
     # KKT system for the trace-constrained least squares
     kkt = np.zeros((k + 1, k + 1))

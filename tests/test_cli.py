@@ -7,12 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from scipy.optimize import brentq
 
 import catdamp
 from catdamp import cli
 from catdamp.cli import main
 from catdamp.sweep import ConfigError, SweepConfig, config_from_dict, run_sweep, vanishing_point
-from catdamp.validation import CheckResult, format_table, run_validation
+from catdamp.formulas import phase_flip_prob_m
+from catdamp.validation import CheckResult, _bisect, format_table, run_validation
 
 
 def read_csv(path):
@@ -370,10 +372,11 @@ class TestOverflowIsUsageError:
         assert not (tmp_path / "r.json").exists()
 
 
-def test_cli_start_leaves_scipy_unimported():
-    # Only `validate` needs scipy; a fresh interpreter that imports the CLI
-    # and builds its parser must not load it.  As in criterion 10, the child
-    # gets the directory of the catdamp under test first on PYTHONPATH.
+def test_cli_start_leaves_scipy_unimported(tmp_path):
+    # catdamp's runtime needs numpy only; a fresh interpreter that imports
+    # the CLI, builds its parser and runs `validate` must not load scipy.  As
+    # in criterion 10, the child gets the directory of the catdamp under test
+    # first on PYTHONPATH.
     package_root = str(Path(catdamp.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -383,8 +386,23 @@ def test_cli_start_leaves_scipy_unimported():
         "import catdamp.cli\n"
         "catdamp.cli.build_parser()\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"status = catdamp.cli.main(['validate', '--seed', '7', '--out', {str(tmp_path / 'r.json')!r}])\n"
+        "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
+
+
+def test_bisection_matches_brentq_on_the_saturation_crossings():
+    for m in (2, 5, 8):
+        def f(a):
+            return phase_flip_prob_m(a, 0.99, m) - 0.49
+        got = _bisect(f, 1e-6, 50.0, xtol=1e-10)
+        assert abs(got - brentq(f, 1e-6, 50.0, xtol=1e-10)) <= 1e-10
+    # p_{f,2} stays below 0.6 on the bracket: no sign change
+    with pytest.raises(ValueError, match="different signs"):
+        _bisect(lambda a: phase_flip_prob_m(a, 0.99, 2) - 0.6, 1e-6, 50.0, xtol=1e-10)

@@ -98,6 +98,16 @@ def test_sweep_parity_flag_is_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("fig", [1, 2, 3, 4])
+def test_fig_parity_flag_is_usage_error_below_fig5(fig, tmp_path, capsys):
+    # figures 1-4 have no parity branches to select
+    out = tmp_path / f"fig{fig}.csv"
+    assert main(["fig", str(fig), "--parity", "even", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "catdamp fig: --parity applies only to figures 5 and 6\n")
+    assert not out.exists()
+
+
 def test_config_fixed_parity_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fixed": {"parity": "even"}}))

@@ -8,7 +8,6 @@ from catdamp.coherent import (
     SuperpositionDensity,
     SuperpositionState,
     apply_loss,
-    attach_vacuum,
     beamsplitter,
     canonicalize,
     coherent_overlap,
@@ -20,6 +19,7 @@ from catdamp.coherent import (
     partial_trace,
     state_inner,
     state_norm,
+    tensor,
 )
 
 
@@ -173,21 +173,6 @@ class TestBeamsplitter:
             beamsplitter(s, 0, 5, 0.5)
 
 
-class TestAttachVacuum:
-    def test_appends_zero_modes(self):
-        s = SuperpositionState.from_terms([(1.0, (0.9,))])
-        out = attach_vacuum(s, 1)
-        assert out.mode_count == 2
-        assert out.terms[0].amps == (0.9 + 0j, 0j)
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(9)
-        s = random_state(rng, modes=3, terms=4)
-        assert state_norm(attach_vacuum(s, 3)) == pytest.approx(
-            state_norm(s), abs=1e-12
-        )
-
-
 class TestDensity:
     def test_single_term_pure(self):
         s = SuperpositionState.from_terms([(1.0, (0.5, -0.5))])
@@ -289,7 +274,7 @@ class TestApplyLoss:
             SuperpositionState.from_terms([(1.0, (a, a)), (-1.0, (-a, -a))])
         )
         via_channel = canonicalize(apply_loss(s, 1, eta))
-        ext = attach_vacuum(s, 1)
+        ext = tensor(s, SuperpositionState.from_terms([(1.0, (0j,))]))
         flipped = beamsplitter(ext, 2, 1, eta)  # env on the sign-flipped port
         alt = canonicalize(partial_trace(density_from_pure(flipped), [2]))
         assert len(via_channel.dyads) == len(alt.dyads)

@@ -26,6 +26,8 @@ from catdamp.sweep import SweepConfig, run_sweep
 ALPHAS = np.array([0.0, 1e-9, 4.5e-9, 1e-4, 0.3, 1.0, 2.5, 4.0, 27.0, 60.0])
 ETAS = np.array([0.01, 0.1, 0.5, 0.9, 0.99, 1.0])
 THETAS = np.array([0.0, 0.5, math.pi / 2, 2.0, math.pi, 4.0, 2.0 * math.pi])
+# amplitudes whose square overflows to inf
+HUGE_ALPHAS = np.array([1e155, 1e200])
 
 
 def _closed_forms():
@@ -61,6 +63,8 @@ def test_array_call_equals_float_calls_bit_for_bit(name, f):
         # arrays that broadcast against each other
         cases.append((ALPHAS[:, None], ETAS[None, :], 2.0))
         cases.append((ALPHAS[:, None, None], ETAS[None, :, None], THETAS[None, None, :4]))
+        # alpha^2 = inf, at eta = 1 among others
+        cases += [(1e200, ETAS, 1.0), (HUGE_ALPHAS[:, None], ETAS[None, :], 2.0)]
         for alpha, eta, theta in cases:
             got = f(alpha, eta, theta)
             want = _per_element(f, alpha, eta, theta)
@@ -102,6 +106,17 @@ def test_float_path_calls_no_numpy_function(name, f):
         assert _numpy_calls(lambda: f(alpha, 0.01, 2.0)) == []
     # the probe does see the array path
     assert _numpy_calls(lambda: f(np.array([0.7]), 0.5, 2.0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_lossless_limits_where_alpha_squared_overflows(m):
+    # at eta = 1 the (1 - eta) exponent is 0, not -0.0 * inf = nan
+    for alpha in (1e200, HUGE_ALPHAS):
+        for got, want in ((phase_flip_prob(alpha, 1.0), 0.0),
+                          (phase_flip_prob_m(alpha, 1.0, m), 0.0),
+                          (concurrence_m(alpha, 1.0, m, "odd"), 1.0),
+                          (concurrence_m(alpha, 1.0, m, "even"), 1.0)):
+            assert np.array_equal(got, np.full(np.shape(alpha), want))
 
 
 def test_value_independent_of_an_array_argument_takes_its_shape():

@@ -27,7 +27,6 @@ from catdamp.formulas import (
     ghz_damped_elements,
     ghz_damped_projection,
     ghz_state,
-    mmode_state,
     mode_ladder,
     phase_flip_prob,
     phase_flip_prob_m,
@@ -143,28 +142,28 @@ class TestMmodeState:
 
     def test_m2_is_three_mode_state(self):
         a = 0.9
-        s1 = mmode_state(a, 2, "odd")
+        s1 = cat_state(mode_ladder(a, 2), -1.0)
         s2 = cat_state(mode_ladder(a, 2), complex(math.cos(math.pi), math.sin(math.pi)))
         assert abs(state_inner(s1, s2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_normalized(self):
         for m in (1, 2, 5, 8):
             for parity in ("even", "odd"):
-                s = mmode_state(0.4, m, parity)
+                s = cat_state(mode_ladder(0.4, m), 1.0 if parity == "even" else -1.0)
                 assert state_norm(s) == pytest.approx(1.0, abs=1e-12)
 
     def test_even_vacuum(self):
-        s = mmode_state(0.0, 3, "even")
+        s = cat_state(mode_ladder(0.0, 3), 1.0)
         assert state_norm(s) == pytest.approx(1.0, abs=1e-12)
         assert all(a == 0 for t in s.terms for a in t.amps)
 
     def test_odd_vacuum_rejected(self):
         with pytest.raises(ValueError):
-            mmode_state(0.0, 3, "odd")
+            cat_state(mode_ladder(0.0, 3), -1.0)
 
     def test_odd_state_maximally_entangled(self):
         for m in (2, 3, 5):
-            s = mmode_state(0.6, m, "odd")
+            s = cat_state(mode_ladder(0.6, m), -1.0)
             assert pure_bipartite_concurrence(s, [0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_even_state_partially_entangled(self):
@@ -173,7 +172,7 @@ class TestMmodeState:
         g = lambda a: math.exp(-(2.0 ** (m + 1)) * a * a)
         for a in (0.2, 0.5, 1.0):
             expected = (1 - g(a)) / (1 + g(a))
-            got = pure_bipartite_concurrence(mmode_state(a, m, "even"), [0])
+            got = pure_bipartite_concurrence(cat_state(mode_ladder(a, m), 1.0), [0])
             assert got == pytest.approx(expected, abs=1e-10)
 
 

@@ -1,0 +1,12 @@
+"""The README's library quickstart runs against the public API."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_quickstart_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    assert blocks, "README.md has no ```python block"
+    exec(compile(blocks[0], "README.md quickstart", "exec"), {})
