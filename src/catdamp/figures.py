@@ -9,9 +9,10 @@ Figure catalogue:
 1. pure-state concurrence surface over (theta, p) with p the squared overlap
    of the two branch amplitudes;
 2. phase-flip probability vs field amplitude for several transmissivities;
-3. damped-GHZ X concurrence (the factor bounding the surviving entanglement)
-   and the directly damped three-mode X concurrence, one- and two-sided,
-   per transmissivity;
+3. damped-GHZ X concurrence times the pure-state concurrence (`bound_*`;
+   despite the name not an upper bound on the exact 0|12 concurrence, which
+   lies above it one-sided and on either side two-sided) and the directly
+   damped three-mode X concurrence, one- and two-sided, per transmissivity;
 4. m-mode phase-flip probability for several mode counts at strong and weak
    transmissivity;
 5. m-mode odd/even concurrence at transmissivity 0.9;

@@ -25,22 +25,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .coherent import (
-    SuperpositionDensity,
+    PRUNE_TOL,
     SuperpositionState,
-    apply_loss,
-    canonicalize,
-    density_from_pure,
     normalize,
     scale,
     add,
     tensor,
 )
 from .logical import (
-    LogicalBasis,
     XStateElements,
     _loss_kraus,
     make_basis,
-    project_to_qubits,
     xstate_concurrence,
 )
 
@@ -306,33 +301,142 @@ def _damped_modes(mode_count: int, sides: str) -> tuple[int, ...]:
     return (mode_count - 1,) if sides == "one" else (mode_count - 2, mode_count - 1)
 
 
-def _damped_bases(alpha: float, eta: float, mode_count: int, sides: str) -> list[LogicalBasis]:
-    lossy = set(_damped_modes(mode_count, sides))
-    return [make_basis(alpha * (math.sqrt(eta) if k in lossy else 1.0))
-            for k in range(mode_count)]
+# The GHZ dyad route refuses an alpha whose rounding estimate
+# 16 * 2^-52 * (2 mu)^-6 exceeds this: its coherent expansion carries
+# coefficients of order (2 mu)^-3, so its 8x8 matrix cancels terms of order
+# (2 mu)^-6 to entries of order 1.
+GHZ_ROUNDING_LIMIT = 1e-10
+
+# bit k of sign pattern p (mode 0 the most significant bit) is set where the
+# coherent product p has amplitude -alpha in mode k
+_PATTERN_BITS = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1
+_PATTERN_SIGNS = (-1.0) ** _PATTERN_BITS.sum(axis=1)
+
+
+def _logical_weights(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(|a|^2, lam, mu) of `make_basis` at real amplitudes amp (G,)."""
+    sq = _libm(lambda a: a**2, amp)
+    lam = np.sqrt((1.0 + _libm(math.exp, -2.0 * sq)) / 2.0)
+    mu = np.sqrt(-_libm(math.expm1, -2.0 * sq) / 2.0)
+    return sq, lam, mu
+
+
+def _sign_overlaps(amp: np.ndarray) -> np.ndarray:
+    """<s a|t a> for st = +1 and st = -1 at real amplitudes amp (G,), formed
+    as `coherent_overlap` forms it: a (G, 2) array."""
+    sq = _libm(lambda a: a**2, amp)
+    cross = amp * amp
+    return _libm(math.exp, np.stack([-0.5 * sq - 0.5 * sq + cross,
+                                     -0.5 * sq - 0.5 * sq - cross], axis=-1))
+
+
+def _basis_pairs(amp: np.ndarray) -> np.ndarray:
+    """(<u|s a>, <v|s a>) in the basis at real amplitude a, for s = +1 and
+    s = -1, formed as `LogicalBasis.overlaps` forms them, large-amplitude
+    branch included: a (G, 2, 2) array [g, s, u/v]."""
+    sq, lam, mu = _logical_weights(amp)
+    _reject(mu > 0.0, amp, "|v> is undefined at amplitude {!r} (mu = 0)")
+    log_env = (-0.5 * sq - 0.5 * sq)[:, None]
+    cross = np.stack([amp * amp, -(amp * amp)], axis=-1)
+    small = (np.abs(cross) < 700.0) & (log_env > -700.0)
+    env = _libm(math.exp, log_env)
+    cosh = _libm(math.cosh, np.where(small, cross, 0.0))
+    sinh = _libm(math.sinh, np.where(small, cross, 0.0))
+    plus = 0.5 * _libm(math.exp, np.where(small, 0.0, log_env + cross))
+    minus = 0.5 * _libm(math.exp, np.where(small, 0.0, log_env - cross))
+    return np.stack([np.where(small, env * cosh, plus + minus) / lam[:, None],
+                     np.where(small, env * sinh, plus - minus) / mu[:, None]], axis=-1)
 
 
 def ghz_damped_projection(
-    alpha: float, eta: float, sides: str = "one"
-) -> tuple[np.ndarray, float]:
+    alpha: float | np.ndarray, eta: float, sides: str = "one"
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Exact 8x8 qubit matrix of the three-mode logical GHZ state after loss
     on one or two modes, projected in the damped logical bases, plus the
-    projection residual.  This is the dyad route (`apply_loss` on the
-    coherent expansion, then `project_to_qubits`), the reference that
-    validation holds `ghz_damped_elements` to."""
+    projection residual, trace minus matrix trace.  This is the dyad route,
+    the reference that validation holds `ghz_damped_elements` to.
+
+    A float `alpha` gives `(8x8 matrix, residual)`; a 1-D array of G
+    amplitudes gives `((G, 8, 8) matrices, (G,) residuals)`, row i equal to
+    the call at `alpha[i]` bit for bit.  (|uuu> + |vvv>)/sqrt(2) expands
+    into the 8 sign patterns of (+-a, +-a, +-a), twice; |GHZ><GHZ| is 256
+    coherent dyads that merge into the 64 pattern pairs whatever alpha is.
+    The route runs that fixed plan as one array program: it merges the
+    weights in `canonicalize`'s order and drops those below `PRUNE_TOL`,
+    damps each lossy mode to sqrt(eta) a times its environment overlap,
+    projects with `LogicalBasis.overlaps`' cosh/sinh form, and sums the
+    outer products and the trace in dyad order.  Every amplitude and weight
+    is real, so it runs in real arithmetic, each exp, expm1, cosh and sinh
+    one libm call, and equals the generic composition (`ghz_state`,
+    `density_from_pure`, `canonicalize`, `apply_loss`, `project_to_qubits`)
+    bit for bit.
+
+    The expansion's weights grow as (2 mu)^-3, so the matrix cancels terms
+    of order (2 mu)^-6: an alpha whose estimate 16 * 2^-52 * (2 mu)^-6
+    exceeds `GHZ_ROUNDING_LIMIT` raises ValueError naming it (alpha below
+    about 0.09), as do an alpha that is not positive and finite or whose
+    2 alpha^2 overflows.
+    """
     _check_choice("sides", sides, SIDES)
-    _check_alpha(alpha, positive=True)
+    alphas = np.asarray(alpha, dtype=float)
+    if alphas.ndim > 1:
+        raise ValueError("alpha must be a float or a 1-D array")
+    grid = np.atleast_1d(alphas)
+    _check_alpha(grid, positive=True)
     _check_eta(eta, positive=True)
-    # the GHZ expansion is normalized by construction; rechecking its norm
-    # through the coherent representation cancels catastrophically at small
-    # amplitudes, so skip it
-    d: SuperpositionDensity = density_from_pure(ghz_state(alpha, 3), check_norm=False)
-    d = canonicalize(d)
-    for mode in _damped_modes(3, sides):
-        d = apply_loss(d, mode, eta)
-    d = canonicalize(d)
-    bases = _damped_bases(alpha, eta, 3, sides)
-    return project_to_qubits(d, bases)
+    with np.errstate(over="ignore", divide="ignore"):
+        _reject(np.isfinite(2.0 * grid * grid), grid, "2 alpha^2 overflows at alpha = {!r}")
+        _, lam, mu = _logical_weights(grid)
+        _reject(16.0 * 2.0**-52 * (2.0 * mu) ** -6.0 <= GHZ_ROUNDING_LIMIT, grid,
+                "the GHZ dyad expansion loses more than GHZ_ROUNDING_LIMIT to rounding "
+                "at alpha = {!r}")
+    g = len(grid)
+    lossy = _damped_modes(3, sides)
+    # u-pattern terms weigh U each, v-pattern terms (-1)^|p| V; the dyad
+    # (i, j) merges uu, uv, vu and vv in that order
+    cu = 1.0 / (2.0 * lam)
+    cv = 1.0 / (2.0 * mu)
+    u = cu * cu * cu * (1.0 / math.sqrt(2.0))
+    v = cv * cv * cv * (1.0 / math.sqrt(2.0))
+    ket_sign = _PATTERN_SIGNS[:, None]
+    bra_sign = _PATTERN_SIGNS[None, :]
+    uv = (u * v)[:, None, None]
+    coeff = (u * u)[:, None, None] + bra_sign * uv + ket_sign * uv + (
+        ket_sign * bra_sign * (v * v)[:, None, None])
+    coeff = np.where(np.abs(coeff) >= PRUNE_TOL, coeff, 0.0)
+    # same[i, j, k]: ket pattern i and bra pattern j agree in mode k
+    same = _PATTERN_BITS[:, None, :] == _PATTERN_BITS[None, :, :]
+
+    def by_sign(pair: np.ndarray, mode: int) -> np.ndarray:
+        return np.where(same[:, :, mode], pair[:, 0, None, None], pair[:, 1, None, None])
+
+    env = _sign_overlaps(math.sqrt(1.0 - eta) * grid)
+    for mode in lossy:
+        coeff = coeff * by_sign(env, mode)
+    coeff = np.where(np.abs(coeff) >= PRUNE_TOL, coeff, 0.0)
+    # vec[g, p, r]: <r|pattern p> in the damped product basis; overlap[g, i, j]:
+    # <pattern j|pattern i>, both grown mode by mode as project_to_qubits and
+    # density_trace multiply them
+    vec = np.ones((g, 1, 1))
+    overlap = np.ones((g, 8, 8))
+    for mode in range(3):
+        amp = math.sqrt(eta) * grid if mode in lossy else grid
+        pair = _basis_pairs(amp)
+        vec = (vec[:, :, None, :, None] * pair[:, None, :, None, :]).reshape(
+            g, 2 * vec.shape[1], 2 * vec.shape[2])
+        overlap = overlap * by_sign(_sign_overlaps(amp), mode)
+    traces = coeff * overlap
+    terms = coeff[:, :, :, None, None] * (vec[:, :, None, :, None] * vec[:, None, :, None, :])
+    real = np.zeros((g, 8, 8))
+    trace = np.zeros(g)
+    for term, t in zip(np.moveaxis(terms.reshape(g, 64, 8, 8), 1, 0), traces.reshape(g, 64).T):
+        real += term
+        trace += t
+    mat = real.astype(complex)
+    residual = trace - np.array([np.trace(m).real for m in mat])
+    if alphas.ndim == 0:
+        return mat[0], float(residual[0])
+    return mat, residual
 
 
 def _basis_weights_sq(alpha: float, eta: float) -> tuple[float, float, float, float]:
@@ -547,9 +651,14 @@ def damped_concurrence(
 def damped_concurrence_bound(
     alpha: float, eta: float, theta: float = math.pi, sides: str = "one"
 ) -> float:
-    """Upper bound on the surviving concurrence of the damped three-mode
-    state: the damped-GHZ X concurrence, from the stable closed forms, times
-    the lossless pure-state concurrence at the same parameters.  At
+    """The damped-GHZ X concurrence, from the stable closed forms, times
+    the lossless pure-state concurrence at the same parameters: fig 3's
+    `bound_*` columns.  Despite its name it is not an upper bound on the
+    exact 0|12 concurrence of the damped three-mode state.  On alpha in
+    [0.01, 3] and eta in [0.1, 0.99] at theta = pi, exact minus this product
+    lies in [3e-16, 0.43] for one-sided loss, where it is a lower bound, and
+    in [-0.125, 0.25] for two-sided loss.  The check `bound_domination`
+    holds it against the damped state's X concurrence, which is 0.  At
     alpha = 0 each factor takes its alpha -> 0 limit: `ghz_concurrence_limit`,
     and 1 at cos(theta) = -1, 0 elsewhere."""
     if alpha == 0.0:

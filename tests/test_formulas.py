@@ -14,6 +14,7 @@ from catdamp.coherent import (
 from catdamp.figures import FIG3_ETAS, build_figure
 from catdamp.sweep import SweepConfig, run_sweep
 from catdamp.formulas import (
+    SIDES,
     ChannelParams,
     _ghz_elements_closed,
     _x_elements,
@@ -39,6 +40,7 @@ from catdamp.logical import (
     xstate_concurrence,
 )
 from catdamp.logical import pure_bipartite_concurrence
+from catdamp.validation import ALPHA_GRID, ETA_GRID
 
 
 class TestConcurrencePure:
@@ -407,6 +409,98 @@ class TestDampedStateGridKernel:
                         assert value == xstate_concurrence(
                             damped_state_elements(alpha, eta, math.pi, sides)
                         )
+
+
+def reference_ghz_projection(alpha, eta, sides):
+    """The generic per-dyad composition that `ghz_damped_projection`'s
+    array program replaced, kept to pin it bit for bit."""
+    lossy = (2,) if sides == "one" else (1, 2)
+    d = canonicalize(density_from_pure(ghz_state(alpha, 3), check_norm=False))
+    for mode in lossy:
+        d = apply_loss(d, mode, eta)
+    d = canonicalize(d)
+    bases = [make_basis(alpha * (math.sqrt(eta) if k in lossy else 1.0)) for k in range(3)]
+    return project_to_qubits(d, bases)
+
+
+def same_bits(a, b):
+    """Equal real and imaginary parts, the signs of zeros included."""
+    a, b = a.view(float), b.view(float)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestGhzDyadKernel:
+    """`ghz_damped_projection` as one array program over the 64-dyad
+    sign-pattern plan, against the generic dyad composition."""
+
+    @staticmethod
+    def assert_pinned(alphas, eta, sides):
+        mats, residuals = ghz_damped_projection(np.array(alphas), eta, sides)
+        assert mats.shape == (len(alphas), 8, 8) and residuals.shape == (len(alphas),)
+        for alpha, mat, residual in zip(alphas, mats, residuals):
+            ref_mat, ref_residual = reference_ghz_projection(float(alpha), eta, sides)
+            assert same_bits(mat, ref_mat), (alpha, eta, sides)
+            assert residual == ref_residual, (alpha, eta, sides)
+            one_mat, one_residual = ghz_damped_projection(float(alpha), eta, sides)
+            assert one_mat.shape == (8, 8) and isinstance(one_residual, float)
+            assert same_bits(one_mat, mat), (alpha, eta, sides)
+            assert one_residual == residual, (alpha, eta, sides)
+
+    @pytest.mark.parametrize("sides", SIDES)
+    def test_validation_grid(self, sides):
+        for eta in sorted(set(ETA_GRID) | {0.1, 0.5, 0.9}):
+            self.assert_pinned(ALPHA_GRID, eta, sides)
+
+    @pytest.mark.parametrize("sides", SIDES)
+    @pytest.mark.parametrize("eta", (0.01, 0.3, 0.9, 1.0))
+    def test_geometric_grid(self, eta, sides):
+        self.assert_pinned(np.geomspace(0.1, 4.0, 40), eta, sides)
+
+    @pytest.mark.parametrize("sides", SIDES)
+    def test_large_amplitude_branch(self, sides):
+        # from |alpha|^2 = 700 on, LogicalBasis.overlaps forms the two halves
+        # of cosh and sinh apart; 27 and 40 reach it, 19 does not
+        for eta in (0.05, 0.5, 1.0):
+            self.assert_pinned([19.0, 27.0, 40.0], eta, sides)
+            mats, residuals = ghz_damped_projection(np.array([19.0, 27.0, 40.0]), eta, sides)
+            assert np.isfinite(mats).all() and np.isfinite(residuals).all()
+
+    def test_refuses_small_alpha(self):
+        # at alpha = 0.01 the expansion is 1.5e-5 off the Kraus route while
+        # its residual reads -3.1e-9
+        for alpha in (0.01, np.array([0.5, 0.01, 0.02])):
+            with pytest.raises(ValueError, match=r"alpha = 0\.01\b"):
+                ghz_damped_projection(alpha, 0.3, "two")
+        grid = np.geomspace(0.2, 4.0, 40)
+        for sides in SIDES:
+            for eta in (0.05, 0.3, 0.9, 1.0):
+                mats, _ = ghz_damped_projection(grid, eta, sides)
+                for alpha, mat in zip(grid, mats):
+                    exact = _x_elements(mat)
+                    kraus = ghz_damped_elements(float(alpha), eta, sides)
+                    for name in ("a", "b", "c", "d", "e", "f"):
+                        assert abs(getattr(exact, name) - getattr(kraus, name)) < 1e-12
+
+    def test_rejects_overflowing_amplitude(self):
+        # 2 alpha^2 overflows; abs(alpha) ** 2 once raised a raw OverflowError
+        for alpha in (1e160, np.array([1.0, 1e160])):
+            with pytest.raises(ValueError, match="overflows"):
+                ghz_damped_projection(alpha, 0.5, "one")
+
+    @pytest.mark.parametrize("alpha, eta, match", (
+        (np.ones((2, 2)), 0.5, "1-D"),
+        (0.0, 0.5, "positive"),
+        (np.array([0.5, -1.0]), 0.5, "positive"),
+        (math.nan, 0.5, "positive"),
+        (np.array([0.5, math.inf]), 0.5, "finite"),
+        (0.5, 0.0, "eta"),
+        (0.5, 1.5, "eta"),
+        (0.5, math.nan, "eta"),
+        (0.1, 5e-324, "mu = 0"),
+    ))
+    def test_rejects_bad_parameters(self, alpha, eta, match):
+        with pytest.raises(ValueError, match=match):
+            ghz_damped_projection(alpha, eta, "two")
 
 
 def superoperator(kraus):
