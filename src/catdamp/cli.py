@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .figures import build_figure, write_csv
+from .figures import build_figure, figure_reads, write_csv
 from .sweep import ConfigError, SweepConfig, load_config, run_sweep
 from .validation import format_table, run_validation, write_report
 
@@ -20,20 +20,24 @@ USAGE_ERROR = 2
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha-max", type=float, default=None,
-                        help="upper end of the field-amplitude grid (default 4)")
-    parser.add_argument("--steps", type=int, default=None,
-                        help="number of grid points (default 401)")
-    parser.add_argument("--eta", type=float, action="append", default=None,
-                        help="transmissivity; repeat to set several")
-    parser.add_argument("--m", type=int, action="append", default=None,
-                        help="mode count; repeat to set several")
-    parser.add_argument("--parity", choices=["odd", "even", "both"], default=None,
-                        help="which parity branch figures 5 and 6 emit")
-    parser.add_argument("--sides", choices=["one", "two", "both"], default=None,
-                        help="channel sidedness for damped-state quantities")
-    parser.add_argument("--epsilon", type=float, default=None,
-                        help="vanishing threshold for alpha_star extraction")
+    """Add the grid flags; `args.grid_flags` maps the dest of each flag that
+    a figure may not read (the `build_figure` keyword it sets) to the flag."""
+    flags = {}
+
+    def add(flag, **kwargs):
+        flags[parser.add_argument(flag, default=None, **kwargs).dest] = flag
+
+    add("--alpha-max", type=float, help="upper end of the field-amplitude grid (default 4)")
+    add("--steps", type=int, help="number of grid points (default 401)")
+    add("--eta", dest="etas", type=float, action="append",
+        help="transmissivity; repeat to set several")
+    add("--m", dest="modes", type=int, action="append", help="mode count; repeat to set several")
+    add("--parity", dest="parities", choices=["odd", "even", "both"],
+        help="which parity branch figures 5 and 6 emit")
+    add("--sides", choices=["one", "two", "both"],
+        help="channel sidedness for damped-state quantities")
+    add("--epsilon", type=float, help="vanishing threshold for alpha_star extraction")
+    parser.set_defaults(grid_flags=flags)
     parser.add_argument("--seed", type=int, default=None,
                         help="accepted for interface uniformity; figure and "
                              "sweep outputs are deterministic regardless")
@@ -75,27 +79,31 @@ def _one_or_both(flag: str | None):
     return None if flag in (None, "both") else (flag,)
 
 
+def _reject_unread(args, reads) -> None:
+    """Raise ConfigError for the first grid flag given whose dest is not
+    in `reads`, naming the figures that read it."""
+    for dest, flag in args.grid_flags.items():
+        if getattr(args, dest) is not None and dest not in reads:
+            figures = [str(f) for f in range(1, 7) if dest in figure_reads(f)]
+            where = (f"figure {figures[0]}" if len(figures) == 1 else
+                     f"figures {', '.join(figures[:-1])} and {figures[-1]}" if figures else
+                     "sweeps")
+            raise ConfigError(f"{flag} applies only to {where}")
+
+
 def _with_flags(config: SweepConfig, args) -> SweepConfig:
     """The config with the grid flags applied; --eta and --m set the fixed
-    value to the last one given."""
-    overrides = {}
-    if args.alpha_max is not None:
-        if config.axis_name != "alpha":
-            raise ConfigError("--alpha-max applies only to alpha sweeps")
-        overrides["stop"] = args.alpha_max
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    if args.out is not None:
-        overrides["out"] = args.out
-    fixed_overrides = {}
-    if args.eta is not None:
-        fixed_overrides["eta"] = args.eta[-1]
-    if args.m is not None:
-        fixed_overrides["m"] = args.m[-1]
-    if args.parity is not None and config.figure not in (5, 6):
-        raise ConfigError("--parity applies only to figures 5 and 6")
+    value to the last one given.  A figure config takes only the flags that
+    its figure reads, and a sweep config all but --parity."""
+    _reject_unread(args, figure_reads(config.figure) if config.figure is not None
+                   else set(args.grid_flags) - {"parities"})
+    if args.alpha_max is not None and config.axis_name != "alpha":
+        raise ConfigError("--alpha-max applies only to alpha sweeps")
+    overrides = {key: value for key, value in (("stop", args.alpha_max), ("steps", args.steps),
+                                               ("epsilon", args.epsilon), ("out", args.out))
+                 if value is not None}
+    fixed_overrides = {key: values[-1] for key, values in (("eta", args.etas), ("m", args.modes))
+                       if values is not None}
     if _one_or_both(args.sides):
         fixed_overrides["sides"] = args.sides
     if fixed_overrides:
@@ -113,9 +121,9 @@ def _write_sweep(command: str, config: SweepConfig, args, default_out: str) -> i
         config = _with_flags(config, args)
         if config.figure is not None:
             header, rows = build_figure(
-                config.figure, alpha_max=config.stop, steps=config.steps, etas=args.eta,
-                modes=args.m, sides=_one_or_both(args.sides),
-                parities=_one_or_both(args.parity),
+                config.figure, alpha_max=config.stop, steps=config.steps, etas=args.etas,
+                modes=args.modes, sides=_one_or_both(args.sides),
+                parities=_one_or_both(args.parities),
             )
         else:
             header, rows = run_sweep(config)
@@ -149,17 +157,15 @@ def _parse_tolerances(entries: list[str]):
     named: dict[str, float] = {}
     global_tol: float | None = None
     for entry in entries:
-        if "=" in entry:
-            name, _, value = entry.partition("=")
-            try:
-                named[name.strip()] = float(value)
-            except ValueError:
-                raise ValueError(f"bad tolerance override {entry!r}")
+        name, eq, value = entry.partition("=")
+        try:
+            tol = float(value if eq else name)
+        except ValueError:
+            raise ValueError(f"bad tolerance override {entry!r}")
+        if eq:
+            named[name.strip()] = tol
         else:
-            try:
-                global_tol = float(entry)
-            except ValueError:
-                raise ValueError(f"bad tolerance override {entry!r}")
+            global_tol = tol
     return named, global_tol
 
 

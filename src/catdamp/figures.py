@@ -9,24 +9,28 @@ Figure catalogue:
 1. pure-state concurrence surface over (theta, p) with p the squared overlap
    of the two branch amplitudes;
 2. phase-flip probability vs field amplitude for several transmissivities;
-3. damped-GHZ X concurrence times the pure-state concurrence (`bound_*`;
-   despite the name not an upper bound on the exact 0|12 concurrence, which
-   lies above it one-sided and on either side two-sided) and the directly
-   damped three-mode X concurrence, one- and two-sided, per transmissivity;
+3. per transmissivity, one- and two-sided: the damped-GHZ X concurrence
+   times the pure-state concurrence (`bound_*`; despite the name not an
+   upper bound on the exact 0|12 concurrence), and the damped three-mode
+   state's X positions (0,7), (1,6) (`direct_*`), which take qubits 0 and 1
+   as one block against qubit 2, not mode 0 against the rest: they read 0,
+   where the exact 0|12 concurrence peaks between 0.55 and 0.97.  The column
+   stays until the benchmark's fig 3 check can hold it to real values;
 4. m-mode phase-flip probability for several mode counts at strong and weak
    transmissivity;
 5. m-mode odd/even concurrence at transmissivity 0.9;
 6. same as 5 at transmissivity 0.1.
 
 Figure 1 is a (theta, p) surface, built by `fig1_rows`.  Figures 2-6 are
-alpha sweeps: each is an entry of `PRESETS`, whose columns (a registered
-sweep quantity, its fixed parameters and a CSV label) `sweep.run_sweep`
-evaluates over the grid [0, alpha_max].  Their alpha = 0 rows are the limits
-the formulas return.
+alpha sweeps, the entries of `PRESETS`, whose columns `sweep.run_sweep`
+evaluates over the grid [0, alpha_max]; a figure reads the overrides that
+its builder names.  Their alpha = 0 rows are the limits the formulas return.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from typing import Iterable, Sequence
 
@@ -76,11 +80,11 @@ def fig1_rows(theta_steps: int = THETA_STEPS_DEFAULT, p_steps: int = P_STEPS_DEF
     return header, rows
 
 
-def _fig2(etas, modes, sides, parities):
+def _fig2(etas=FIG2_ETAS):
     return [Column("phase_flip_prob", ChannelParams(eta=eta), f"pf_eta{eta:g}") for eta in etas]
 
 
-def _fig3(etas, modes, sides, parities):
+def _fig3(etas=FIG3_ETAS, sides=("one", "two")):
     return [
         Column(quantity, ChannelParams(eta=eta, sides=s), f"{prefix}_{s}sided_eta{eta:g}")
         for eta in etas
@@ -89,12 +93,12 @@ def _fig3(etas, modes, sides, parities):
     ]
 
 
-def _fig4(etas, modes, sides, parities):
+def _fig4(etas=FIG4_ETAS, modes=MODE_COUNTS):
     return [Column("phase_flip_prob_m", ChannelParams(eta=eta, m=m), f"pfm_m{m}_eta{eta:g}")
             for eta in etas for m in modes]
 
 
-def _mmode_concurrence(etas, modes, sides, parities):
+def _mmode_concurrence(etas, modes=MODE_COUNTS, parities=("odd", "even")):
     eta = etas[0]
     return [
         Column(f"concurrence_{parity}", ChannelParams(eta=eta, m=m),
@@ -104,16 +108,24 @@ def _mmode_concurrence(etas, modes, sides, parities):
     ]
 
 
-# figure id -> (default transmissivities, the columns for given
-# transmissivities, mode counts, sidednesses and parities); figures 5 and 6
-# take the first transmissivity only
+# figure id -> the builder of its columns; the builder's arguments, with
+# their defaults, are the `build_figure` keywords the figure reads.  Figures
+# 5 and 6 take the first transmissivity only.
 PRESETS = {
-    2: (FIG2_ETAS, _fig2),
-    3: (FIG3_ETAS, _fig3),
-    4: (FIG4_ETAS, _fig4),
-    5: ((0.9,), _mmode_concurrence),
-    6: ((0.1,), _mmode_concurrence),
+    2: _fig2,
+    3: _fig3,
+    4: _fig4,
+    5: functools.partial(_mmode_concurrence, etas=(0.9,)),
+    6: functools.partial(_mmode_concurrence, etas=(0.1,)),
 }
+
+
+def figure_reads(fig: int) -> tuple[str, ...]:
+    """The `build_figure` keywords that figure `fig` reads: none for figure
+    1's fixed surface, and the grid and its builder's arguments otherwise."""
+    if fig == 1:
+        return ()
+    return ("alpha_max", "steps", *inspect.signature(PRESETS[fig]).parameters)
 
 
 def build_figure(fig: int, *, alpha_max: float = ALPHA_MAX_DEFAULT,
@@ -121,15 +133,13 @@ def build_figure(fig: int, *, alpha_max: float = ALPHA_MAX_DEFAULT,
                  modes: Sequence[int] | None = None, sides: Sequence[str] | None = None,
                  parities: Sequence[str] | None = None):
     """Figure 1's surface, or the preset of figures 2-6 run through
-    `run_sweep`, with the given overrides of the preset's values."""
+    `run_sweep`, with the given overrides of the preset's values; a figure
+    ignores the keywords that `figure_reads` does not list for it."""
     if fig == 1:
         return fig1_rows()
     if fig not in PRESETS:
         raise ValueError(f"unknown figure id {fig} (expected 1..6)")
-    default_etas, columns = PRESETS[fig]
-    return run_sweep(Preset(tuple(columns(
-        tuple(etas) if etas else default_etas,
-        tuple(modes) if modes else MODE_COUNTS,
-        tuple(sides) if sides else ("one", "two"),
-        tuple(parities) if parities else ("odd", "even"),
-    )), alpha_max, steps))
+    given = {"etas": etas, "modes": modes, "sides": sides, "parities": parities}
+    read = figure_reads(fig)
+    columns = PRESETS[fig](**{k: tuple(v) for k, v in given.items() if v and k in read})
+    return run_sweep(Preset(tuple(columns), alpha_max, steps))

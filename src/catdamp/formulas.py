@@ -35,8 +35,9 @@ from .coherent import (
 from .logical import (
     XStateElements,
     _loss_kraus,
+    _sqrt,
+    _x_concurrence,
     make_basis,
-    xstate_concurrence,
 )
 
 import numpy as np
@@ -124,15 +125,11 @@ def _elementwise(fn):
 
     @functools.wraps(fn)
     def call(*args, **kwargs):
-        values = (*args, *kwargs.values()) if kwargs else args
-        for value in values:
-            if isinstance(value, np.ndarray):
-                break
-        else:
+        shapes = [v.shape for v in (*args, *kwargs.values()) if isinstance(v, np.ndarray)]
+        if not shapes:
             return fn(*args, **kwargs)
-        shape = np.broadcast_shapes(*(v.shape for v in values if isinstance(v, np.ndarray)))
         with np.errstate(all="ignore"):
-            return np.broadcast_to(fn(*args, **kwargs), shape).copy()
+            return np.broadcast_to(fn(*args, **kwargs), np.broadcast_shapes(*shapes)).copy()
 
     return call
 
@@ -145,8 +142,9 @@ def _libm(fn, x):
     return fn(x)
 
 
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+def _square(x):
+    """x**2, one libm pow per element."""
+    return _libm(lambda v: v**2, x)
 
 
 def _limit_where(at_limit, limit, num, den=1.0):
@@ -166,9 +164,8 @@ def concurrence_pure(alpha: float | np.ndarray, theta: float | np.ndarray):
     [0, 1] and equals 1 at theta = pi.  A point where cos(theta) = -1 and
     1 - e^{-8 a^2} rounds to 0 raises ValueError naming its alpha.
 
-    alpha and theta are floats, or NumPy arrays that broadcast: a float call
-    returns a float, and an array call the float calls' values bit for bit,
-    each exp and cos one libm call per element.
+    alpha and theta are floats, or arrays that broadcast, whose values are the
+    float calls' bit for bit (exp and cos one libm call per element).
     """
     _check_alpha(alpha)
     _check_theta(theta)
@@ -191,9 +188,8 @@ def phase_flip_prob(alpha: float | np.ndarray, eta: float | np.ndarray):
     expression is 0/0 and the value is its limit, (1 - eta)/2, as it is
     wherever 1 - e^{-8a^2} rounds to 0 (alpha below about 2.6e-9).
 
-    alpha and eta are floats, or NumPy arrays that broadcast: a float call
-    returns a float, and an array call the float calls' values bit for bit,
-    each exp one libm call per element.
+    alpha and eta are floats, or arrays that broadcast, whose values are the
+    float calls' bit for bit (exp one libm call per element).
     """
     _check_alpha(alpha)
     _check_eta(eta)
@@ -216,9 +212,8 @@ def phase_flip_prob_m(alpha: float | np.ndarray, eta: float | np.ndarray, m: int
     At alpha = 0, and wherever 1 - e^{-2^m a^2} rounds to 0, the value is the
     limit (1 - eta)/2 for every m.
 
-    alpha and eta are floats, or NumPy arrays that broadcast: a float call
-    returns a float, and an array call the float calls' values bit for bit,
-    each exp one libm call per element.
+    alpha and eta are floats, or arrays that broadcast, whose values are the
+    float calls' bit for bit (exp one libm call per element).
     """
     _check_alpha(alpha)
     _check_eta(eta)
@@ -245,9 +240,8 @@ def concurrence_m(
     odd (both independent of m).  They are also the values wherever
     1 - e^{-2^m a^2} or the odd denominator rounds to 0.
 
-    alpha and eta are floats, or NumPy arrays that broadcast: a float call
-    returns a float, and an array call the float calls' values bit for bit,
-    each exp and eta^{3/2} one libm call per element.
+    alpha and eta are floats, or arrays that broadcast, whose values are the
+    float calls' bit for bit (exp and eta^{3/2} one libm call per element).
     """
     _check_choice("parity", parity, PARITIES)
     _check_m(m)
@@ -297,8 +291,8 @@ def ghz_state(alpha: float, modes: int = 3) -> SuperpositionState:
     return add(scale(all_u, 1.0 / math.sqrt(2.0)), scale(all_v, 1.0 / math.sqrt(2.0)))
 
 
-def _damped_modes(mode_count: int, sides: str) -> tuple[int, ...]:
-    return (mode_count - 1,) if sides == "one" else (mode_count - 2, mode_count - 1)
+# the lossy modes of the three-mode states for each sidedness
+_LOSSY_MODES = {"one": (2,), "two": (1, 2)}
 
 
 # The GHZ dyad route refuses an alpha whose rounding estimate
@@ -315,7 +309,7 @@ _PATTERN_SIGNS = (-1.0) ** _PATTERN_BITS.sum(axis=1)
 
 def _logical_weights(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(|a|^2, lam, mu) of `make_basis` at real amplitudes amp (G,)."""
-    sq = _libm(lambda a: a**2, amp)
+    sq = _square(amp)
     lam = np.sqrt((1.0 + _libm(math.exp, -2.0 * sq)) / 2.0)
     mu = np.sqrt(-_libm(math.expm1, -2.0 * sq) / 2.0)
     return sq, lam, mu
@@ -324,7 +318,7 @@ def _logical_weights(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _sign_overlaps(amp: np.ndarray) -> np.ndarray:
     """<s a|t a> for st = +1 and st = -1 at real amplitudes amp (G,), formed
     as `coherent_overlap` forms it: a (G, 2) array."""
-    sq = _libm(lambda a: a**2, amp)
+    sq = _square(amp)
     cross = amp * amp
     return _libm(math.exp, np.stack([-0.5 * sq - 0.5 * sq + cross,
                                      -0.5 * sq - 0.5 * sq - cross], axis=-1))
@@ -391,7 +385,7 @@ def ghz_damped_projection(
                 "the GHZ dyad expansion loses more than GHZ_ROUNDING_LIMIT to rounding "
                 "at alpha = {!r}")
     g = len(grid)
-    lossy = _damped_modes(3, sides)
+    lossy = _LOSSY_MODES[sides]
     # u-pattern terms weigh U each, v-pattern terms (-1)^|p| V; the dyad
     # (i, j) merges uu, uv, vu and vv in that order
     cu = 1.0 / (2.0 * lam)
@@ -439,21 +433,14 @@ def ghz_damped_projection(
     return mat, residual
 
 
-def _basis_weights_sq(alpha: float, eta: float) -> tuple[float, float, float, float]:
-    """(lam^2, mu^2, lam'^2, mu'^2) at amplitude alpha and sqrt(eta) alpha,
-    with mu^2 through expm1 for full relative precision."""
-    a2 = alpha * alpha
-    lam2 = (1.0 + math.exp(-2.0 * a2)) / 2.0
-    mu2 = -math.expm1(-2.0 * a2) / 2.0
-    lamp2 = (1.0 + math.exp(-2.0 * eta * a2)) / 2.0
-    mup2 = -math.expm1(-2.0 * eta * a2) / 2.0
-    return lam2, mu2, lamp2, mup2
+def _ghz_elements_closed(alpha, eta, sides: str):
+    """Stable closed forms of the damped-GHZ X elements (a, b, c, d, e, f),
+    e and f real: alpha and eta are floats, or arrays that broadcast, with
+    each exp, expm1 and square one libm call per element.
 
-
-def _ghz_elements_closed(alpha: float, eta: float, sides: str) -> XStateElements:
-    """Stable closed forms of the damped-GHZ X elements.
-
-    With t = e^{-2(1-eta) a^2} the one-sided elements are
+    With t = e^{-2(1-eta) a^2}, lam^2 = (1 + e^{-2 a^2}) / 2 and
+    mu^2 = -expm1(-2 a^2) / 2 at amplitude a, lam'^2 and mu'^2 the same at
+    sqrt(eta) a, the one-sided elements are
         a = (1+t) lam'^2 / (4 lam^2),   b = (1-t) mu'^2  / (4 lam^2),
         c = (1-t) lam'^2 / (4 mu^2),    d = (1+t) mu'^2  / (4 mu^2),
         e = (1-t) lam' mu' / (4 lam mu), f = (1+t) lam' mu' / (4 lam mu),
@@ -464,63 +451,60 @@ def _ghz_elements_closed(alpha: float, eta: float, sides: str) -> XStateElements
         f = (1+t)^2 lam'^2 mu'^2 / (8 lam^2 mu^2).
     """
     a2 = alpha * alpha
-    t = math.exp(-2.0 * (1.0 - eta) * a2)
-    one_minus_t = -math.expm1(-2.0 * (1.0 - eta) * a2)
-    one_plus_t = 1.0 + t
-    lam2, mu2, lamp2, mup2 = _basis_weights_sq(alpha, eta)
-    cross = math.sqrt(lamp2 * mup2)
-    cross0 = math.sqrt(lam2 * mu2)
+    # the loss exponent is -0.0 at eta = 1, also where a2 = inf makes it -0.0 * inf
+    lost = _limit_where(eta == 1.0, -0.0, -2.0 * (1.0 - eta) * a2)
+    one_minus_t = -_libm(math.expm1, lost)
+    one_plus_t = 1.0 + _libm(math.exp, lost)
+    lam2 = (1.0 + _libm(math.exp, -2.0 * a2)) / 2.0
+    mu2 = -_libm(math.expm1, -2.0 * a2) / 2.0
+    lamp2 = (1.0 + _libm(math.exp, -2.0 * eta * a2)) / 2.0
+    mup2 = -_libm(math.expm1, -2.0 * eta * a2) / 2.0
     if sides == "one":
-        return XStateElements(
-            a=one_plus_t * lamp2 / (4.0 * lam2),
-            b=one_minus_t * mup2 / (4.0 * lam2),
-            c=one_minus_t * lamp2 / (4.0 * mu2),
-            d=one_plus_t * mup2 / (4.0 * mu2),
-            e=complex(one_minus_t * cross / (4.0 * cross0)),
-            f=complex(one_plus_t * cross / (4.0 * cross0)),
-        )
-    one_minus_t2 = one_minus_t * one_plus_t
-    return XStateElements(
-        a=one_plus_t**2 * lamp2**2 / (8.0 * lam2**2),
-        b=one_minus_t2 * lamp2 * mup2 / (8.0 * lam2**2),
-        c=one_minus_t2 * lamp2 * mup2 / (8.0 * mu2**2),
-        d=one_plus_t**2 * mup2**2 / (8.0 * mu2**2),
-        e=complex(one_minus_t2 * lamp2 * mup2 / (8.0 * lam2 * mu2)),
-        f=complex(one_plus_t**2 * lamp2 * mup2 / (8.0 * lam2 * mu2)),
-    )
+        cross = _sqrt(lamp2 * mup2)
+        cross0 = _sqrt(lam2 * mu2)
+        return (one_plus_t * lamp2 / (4.0 * lam2), one_minus_t * mup2 / (4.0 * lam2),
+                one_minus_t * lamp2 / (4.0 * mu2), one_plus_t * mup2 / (4.0 * mu2),
+                one_minus_t * cross / (4.0 * cross0), one_plus_t * cross / (4.0 * cross0))
+    lam4, mu4, plus2 = _square(lam2), _square(mu2), _square(one_plus_t)
+    mixed = one_minus_t * one_plus_t * lamp2 * mup2
+    return (plus2 * _square(lamp2) / (8.0 * lam4), mixed / (8.0 * lam4),
+            mixed / (8.0 * mu4), plus2 * _square(mup2) / (8.0 * mu4),
+            mixed / (8.0 * lam2 * mu2), plus2 * lamp2 * mup2 / (8.0 * lam2 * mu2))
 
 
-def _clamp_diag(x: float, tol: float = 1e-9) -> float:
-    # projection float noise may leave tiny negatives on exact zeros
-    if -tol < x < 0.0:
-        return 0.0
-    return x
+def _x_parts(mat: np.ndarray):
+    """X-structure elements (a, b, c, d, e, f) of an 8x8 three-mode qubit
+    matrix, or six (G,) arrays of a (G, 8, 8) stack: diagonals at |uuu>,
+    |uuv>, |vvu>, |vvv> and coherences <uuv|rho|vvu>, <uuu|rho|vvv>.
+    Projection float noise may leave tiny negatives on exact zeros of the
+    diagonal; those above -1e-9 read as 0."""
+    a, b, c, d = (_limit_where((-1e-9 < x) & (x < 0.0), 0.0, x)
+                  for x in (mat[..., i, i].real for i in (0, 1, 6, 7)))
+    return a, b, c, d, mat[..., 1, 6], mat[..., 0, 7]
 
 
 def _x_elements(mat: np.ndarray) -> XStateElements:
-    """X-structure elements of an 8x8 three-mode qubit matrix: diagonals at
-    |uuu>, |uuv>, |vvu>, |vvv> and coherences <uuv|rho|vvu>, <uuu|rho|vvv>."""
-    return XStateElements(
-        a=_clamp_diag(mat[0, 0].real),
-        b=_clamp_diag(mat[1, 1].real),
-        c=_clamp_diag(mat[6, 6].real),
-        d=_clamp_diag(mat[7, 7].real),
-        e=mat[1, 6],
-        f=mat[0, 7],
-    )
+    return XStateElements(*_x_parts(mat))
+
+
+def _x_concurrences(mats: np.ndarray) -> np.ndarray:
+    """xstate_concurrence(_x_elements(mat)) of each of G matrices, bit for bit."""
+    a, b, c, d, e, f = _x_parts(mats)
+    return _x_concurrence(a, b, c, d, np.abs(e), np.abs(f))
 
 
 def _damped_density(
-    psi: np.ndarray, amps: np.ndarray, eta: float, lossy: tuple[int, ...]
+    psi: np.ndarray, amps: np.ndarray, eta: float | np.ndarray, lossy: tuple[int, ...]
 ) -> np.ndarray:
     """(G, 2^m, 2^m) matrices of pure states psi (G, 2^m) after loss.
 
     psi is in the product logical basis at amplitudes amps (G, m), mode 0
-    the most significant bit.  Each lossy mode applies the pair of
-    `_loss_kraus` along its qubit axis of a (G, B, 2, ..., 2) stack of
-    branch vectors, doubling B; the result is sum_b psi_b psi_b^dagger.
-    Each K has at most one nonzero per row, and the branches are summed in
-    order, so row g does not depend on the other rows.
+    the most significant bit, and eta is a float or a (G,) array.  Each
+    lossy mode applies the pair of `_loss_kraus` along its qubit axis of a
+    (G, B, 2, ..., 2) stack of branch vectors, doubling B; the result is
+    sum_b psi_b psi_b^dagger.  Each K has at most one nonzero per row, and
+    the branches are summed in order, so row g does not depend on the other
+    rows.
     """
     g, m = amps.shape
     stack = psi.reshape((g, 1) + (2,) * m)
@@ -536,6 +520,27 @@ def _damped_density(
     return mat
 
 
+def _check_ghz(alpha, eta, positive: bool = False) -> None:
+    """alpha >= 0 (> 0 if positive) with 2 alpha^2 finite, eta in (0, 1]."""
+    _check_alpha(alpha, positive)
+    _check_eta(eta, positive=True)
+    with np.errstate(over="ignore"):
+        _reject(2.0 * alpha * alpha < math.inf, alpha, "non-finite amplitude at alpha = {!r}")
+
+
+def _ghz_damped_matrices(alpha: np.ndarray, eta, sides: str) -> np.ndarray:
+    """(G, 8, 8) matrices of the logical GHZ state (|uuu> + |vvv>)/sqrt(2)
+    after loss, in the damped logical bases, at a 1-D array alpha and an eta
+    that broadcasts with it, through `_damped_density`."""
+    _check_choice("sides", sides, SIDES)
+    grid, etas = np.broadcast_arrays(alpha, np.asarray(eta, dtype=float))
+    _check_ghz(grid, etas)
+    psi = np.zeros((len(grid), 8), dtype=complex)
+    psi[:, 0] = psi[:, 7] = 1.0
+    # the 1/sqrt(2) normalisation enters as one exact factor 1/2
+    return 0.5 * _damped_density(psi, np.stack([grid] * 3, axis=-1), etas, _LOSSY_MODES[sides])
+
+
 def ghz_damped_elements(
     alpha: float, eta: float, sides: str = "one", method: str = "exact"
 ) -> XStateElements:
@@ -543,60 +548,65 @@ def ghz_damped_elements(
     |uuu>, |uuv>, |vvu>, |vvv> and coherences <uuv|rho|vvu>, <uuu|rho|vvv>.
 
     `method="exact"` applies the Kraus pair of `logical._loss_kraus` to
-    (|uuu> + |vvv>)/sqrt(2) at any alpha >= 0; at alpha = 0 its X
-    concurrence is `ghz_concurrence_limit` to one ulp.  `method="closed"`
-    evaluates the stable closed forms (alpha > 0).
+    (|uuu> + |vvv>)/sqrt(2) at any alpha >= 0, as a one-point call of the
+    route behind `ghz_concurrence`; at alpha = 0 its X concurrence is
+    `ghz_concurrence_limit` to one ulp.  `method="closed"` evaluates the
+    stable closed forms (alpha > 0).
     """
     _check_choice("sides", sides, SIDES)
     if method not in ("exact", "closed"):
         raise ValueError(f"unknown method {method!r}")
-    _check_alpha(alpha, positive=method == "closed")
-    _check_eta(eta, positive=True)
-    if not math.isfinite(2.0 * alpha * alpha):
-        raise ValueError("non-finite amplitude")
-    if method == "closed":
-        return _ghz_elements_closed(alpha, eta, sides)
-    amps = np.full((1, 3), float(alpha))
-    psi = np.zeros((1, 8), dtype=complex)
-    psi[0, 0] = psi[0, 7] = 1.0
-    # the 1/sqrt(2) normalisation enters as one exact factor 1/2
-    mat = 0.5 * _damped_density(psi, amps, eta, _damped_modes(3, sides))[0]
-    return _x_elements(mat)
+    if method == "exact":
+        return _x_elements(_ghz_damped_matrices(np.array([alpha], dtype=float), eta, sides)[0])
+    _check_ghz(alpha, eta, positive=True)
+    a, b, c, d, e, f = _ghz_elements_closed(alpha, eta, sides)
+    return XStateElements(a, b, c, d, complex(e), complex(f))
+
+
+def ghz_concurrence(alpha, eta, sides: str = "one"):
+    """`xstate_concurrence(ghz_damped_elements(alpha, eta, sides))` bit for
+    bit in one call of the Kraus route: a float, or an array for 1-D arrays."""
+    values = _x_concurrences(_ghz_damped_matrices(np.atleast_1d(alpha), eta, sides))
+    return values if np.ndim(alpha) or np.ndim(eta) else float(values[0])
 
 
 def damped_state_projection(
-    alpha: float | np.ndarray, eta: float, theta: float = math.pi, sides: str = "two"
+    alpha: float | np.ndarray, eta: float | np.ndarray, theta: float | np.ndarray = math.pi,
+    sides: str = "two",
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Exact 8x8 qubit matrix of the three-mode entangled state after loss,
     in the damped logical bases, plus a residual.
 
-    A float `alpha` gives `(8x8 matrix, residual)`; a 1-D array of G
-    amplitudes gives `((G, 8, 8) matrices, (G,) residuals)`, row i equal to
-    the call at `alpha[i]` bit for bit.  The state |A> + e^{i theta} |-A>,
-    A = (sqrt(2) a, a, a), is the normalised sum of its branch products of
-    (lam_k, +-mu_k) in the product logical basis; loss is the Kraus pair of
-    `logical._loss_kraus`.  Loss keeps the state in the logical spans, so
-    the residual, 1 - trace, is rounding only.  The generic dyad pipeline
-    agrees to about 1e-15, and to 2.3e-13 at alpha = 0.01 (odd parity),
-    where it cancels on coefficients of order 1/alpha^2.
+    Floats give `(8x8 matrix, residual)`; 1-D arrays of G values that
+    broadcast give `((G, 8, 8) matrices, (G,) residuals)`, row i equal to
+    the float call at element i bit for bit.  The state
+    |A> + e^{i theta} |-A>, A = (sqrt(2) a, a, a), is the normalised sum of
+    its branch products of (lam_k, +-mu_k) in the product logical basis;
+    loss is the Kraus pair of `logical._loss_kraus`.  Loss keeps the state
+    in the logical spans, so the residual, 1 - trace, is rounding only.  The
+    generic dyad pipeline agrees to about 1e-15, and to 2.3e-13 at
+    alpha = 0.01 (odd parity), where it cancels on coefficients of order
+    1/alpha^2.
 
-    Fig 3's `direct_*` columns come from this route.  K0 keeps a qubit's
-    parity and K1 flips it, so the output is block diagonal across total
-    parity: its X coherences e, f are float noise (~1e-17 on the fig 3
-    grid), far below sqrt(ad) and sqrt(bc), and the X concurrence is 0.
+    Fig 3's `direct_*` columns read X positions (0,7) and (1,6) of this
+    matrix.  Those take qubits 0 and 1 as one block against qubit 2, so they
+    do not describe mode 0 against the rest.  K0 keeps a qubit's parity and
+    K1 flips it, so the output is block diagonal across total parity: its
+    coherences there are float noise (~1e-17 on the fig 3 grid), and the X
+    concurrence is 0.
     """
     _check_choice("sides", sides, SIDES)
-    alphas = np.asarray(alpha, dtype=float)
-    if alphas.ndim > 1:
-        raise ValueError("alpha must be a float or a 1-D array")
-    grid = np.atleast_1d(alphas)
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, eta, theta)))
+    if args[0].ndim > 1:
+        raise ValueError("alpha, eta and theta must be floats or 1-D arrays")
+    grid, etas, thetas = (np.atleast_1d(v) for v in args)
     if not (grid > 0).all():
         raise ValueError("alpha must be positive")
-    _check_eta(eta, positive=True)
+    _check_eta(etas, positive=True)
     amps = np.stack([math.sqrt(2.0) * grid, grid, grid], axis=-1)
     with np.errstate(over="ignore"):
         two_a2 = 2.0 * amps**2
-    if not (np.isfinite(two_a2).all() and math.isfinite(theta)):
+    if not (np.isfinite(two_a2).all() and np.isfinite(thetas).all()):
         raise ValueError("non-finite amplitude or coefficient")
     g = len(grid)
     lam = np.sqrt((1.0 + np.exp(-two_a2)) / 2.0)
@@ -607,14 +617,15 @@ def damped_state_projection(
     for k in range(3):
         pair = np.stack([lam[:, k], mu[:, k]], axis=-1)
         branch = (branch[:, :, None] * pair[:, None, :]).reshape(g, 2 * branch.shape[1])
-    parity = np.array([(-1.0) ** bin(i).count("1") for i in range(8)])
-    psi = branch * (1.0 + complex(math.cos(theta), math.sin(theta)) * parity)
+    phase = np.empty(g, dtype=complex)
+    phase.real, phase.imag = _libm(math.cos, thetas), _libm(math.sin, thetas)
+    psi = branch * (1.0 + phase[:, None] * _PATTERN_SIGNS)
     n2 = np.sum(psi.real**2 + psi.imag**2, axis=1)
     if (n2 <= 1e-30).any():
         raise ValueError("cannot normalize a state with (near-)zero norm")
-    mat = _damped_density(psi / np.sqrt(n2)[:, None], amps, eta, _damped_modes(3, sides))
+    mat = _damped_density(psi / np.sqrt(n2)[:, None], amps, etas, _LOSSY_MODES[sides])
     residual = 1.0 - np.trace(mat, axis1=1, axis2=2).real
-    if alphas.ndim == 0:
+    if args[0].ndim == 0:
         return mat[0], float(residual[0])
     return mat, residual
 
@@ -627,50 +638,61 @@ def damped_state_elements(
     return _x_elements(damped_state_projection(alpha, eta, theta, sides)[0])
 
 
-def damped_concurrence(
-    alphas: Sequence[float], eta: float, theta: float = math.pi, sides: str = "two"
-) -> list[float]:
-    """X concurrence of the damped three-mode state at each alpha, equal to
-    `xstate_concurrence(damped_state_elements(alpha, ...))` bit for bit,
-    through one `damped_state_projection` call over the nonzero alphas.  At
-    alpha = 0 the state is the vacuum, or vanishes (cos(theta) = -1); the
-    value there is 0, its limit."""
+def damped_concurrence(alpha, eta, theta=math.pi, sides: str = "two"):
+    """Fig 3's `direct_*` value, `xstate_concurrence(damped_state_elements(
+    alpha, ...))` bit for bit, through one `damped_state_projection` call
+    over the points with alpha != 0: floats give a float, and arrays that
+    broadcast to one dimension an array.  At alpha = 0 the state is the
+    vacuum, or vanishes (cos(theta) = -1); the value there is 0, its limit.
+
+    It is not the 0|12 concurrence (see `damped_state_projection`): on fig
+    3's grid it is 0 up to float noise, where the exact 0|12 concurrence
+    peaks between 0.55 (eta 0.3, two-sided) and 0.97 (eta 0.9, one-sided).
+    The column keeps these values until the benchmark's fig 3 check can
+    hold it to real ones."""
     _check_choice("sides", sides, SIDES)
     _check_eta(eta, positive=True)
-    out = [0.0] * len(alphas)
-    nonzero = [i for i, a in enumerate(alphas) if a != 0.0]
-    if nonzero:
-        mats, _ = damped_state_projection(
-            np.array([alphas[i] for i in nonzero]), eta, theta, sides
-        )
-        for i, mat in zip(nonzero, mats):
-            out[i] = xstate_concurrence(_x_elements(mat))
-    return out
+    alphas, etas, thetas = np.broadcast_arrays(alpha, eta, theta)
+    out = np.zeros(alphas.shape)
+    nonzero = alphas != 0.0
+    if nonzero.any():
+        mats, _ = damped_state_projection(alphas[nonzero], etas[nonzero], thetas[nonzero], sides)
+        out[nonzero] = _x_concurrences(mats)
+    return out if out.ndim else float(out)
 
 
+@_elementwise
 def damped_concurrence_bound(
-    alpha: float, eta: float, theta: float = math.pi, sides: str = "one"
-) -> float:
+    alpha: float | np.ndarray, eta: float | np.ndarray, theta: float | np.ndarray = math.pi,
+    sides: str = "one",
+):
     """The damped-GHZ X concurrence, from the stable closed forms, times
-    the lossless pure-state concurrence at the same parameters: fig 3's
-    `bound_*` columns.  Despite its name it is not an upper bound on the
-    exact 0|12 concurrence of the damped three-mode state.  On alpha in
-    [0.01, 3] and eta in [0.1, 0.99] at theta = pi, exact minus this product
-    lies in [3e-16, 0.43] for one-sided loss, where it is a lower bound, and
-    in [-0.125, 0.25] for two-sided loss.  The check `bound_domination`
-    holds it against the damped state's X concurrence, which is 0.  At
-    alpha = 0 each factor takes its alpha -> 0 limit: `ghz_concurrence_limit`,
-    and 1 at cos(theta) = -1, 0 elsewhere."""
-    if alpha == 0.0:
-        _check_theta(theta)
-        return ghz_concurrence_limit(eta, sides) * (1.0 if math.cos(theta) == -1.0 else 0.0)
-    factor = xstate_concurrence(ghz_damped_elements(alpha, eta, sides, method="closed"))
-    return factor * concurrence_pure(alpha, theta)
+    the lossless pure-state concurrence: fig 3's `bound_*` columns.  Despite
+    its name it is not an upper bound on the exact 0|12 concurrence of the
+    damped three-mode state: on alpha in [0.01, 3] and eta in [0.1, 0.99] at
+    theta = pi, exact minus this product lies in [3e-16, 0.43] one-sided and
+    in [-0.125, 0.25] two-sided.  The check `bound_domination` holds it
+    against fig 3's `direct_*` value, which is 0.  At alpha = 0 the value is
+    `ghz_concurrence_limit` at cos(theta) = -1 and 0 elsewhere; where
+    alpha^2 overflows, 1 at eta = 1 and 0 elsewhere.  The arguments are
+    floats or arrays, as for the closed forms above.
+    """
+    _check_choice("sides", sides, SIDES)
+    _check_alpha(alpha)
+    _check_eta(eta, positive=True)
+    pure = concurrence_pure(alpha, theta)
+    # where the pure factor is 0 (alpha below about 2.6e-9, where the GHZ
+    # elements may divide by a mu^2 or mu^4 that underflowed to 0) so is the
+    # product, but for the limit at alpha = 0
+    zero = pure == 0.0
+    limit = _limit_where(_libm(math.cos, theta) == -1.0, ghz_concurrence_limit(eta, sides), 0.0)
+    a, b, c, d, e, f = _ghz_elements_closed(_limit_where(zero, 1.0, alpha), eta, sides)
+    return _limit_where(zero, limit, _x_concurrence(a, b, c, d, abs(e), abs(f)) * pure)
 
 
-def ghz_concurrence_limit(eta: float, sides: str = "one") -> float:
+def ghz_concurrence_limit(eta: float | np.ndarray, sides: str = "one"):
     """alpha -> 0 limit of the damped-GHZ X concurrence: sqrt(eta) for
-    one-sided loss, eta for two-sided."""
+    one-sided loss, eta for two-sided; eta is a float or an array."""
     _check_choice("sides", sides, SIDES)
     _check_eta(eta, positive=True)
-    return math.sqrt(eta) if sides == "one" else eta
+    return _sqrt(eta) if sides == "one" else eta

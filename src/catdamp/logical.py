@@ -86,12 +86,13 @@ def make_basis(alpha: complex) -> LogicalBasis:
     return LogicalBasis(complex(alpha), lam, mu)
 
 
-def _loss_kraus(amp: np.ndarray, eta: float) -> np.ndarray:
+def _loss_kraus(amp: np.ndarray, eta: float | np.ndarray) -> np.ndarray:
     """Photon loss on one mode as an exact logical-qubit channel.
 
-    For basis amplitudes amp (G,) returns the Kraus pair as a (G, 2, 2, 2)
-    array [g, k, out, in], from the basis at a to the basis at
-    b = sqrt(eta) a.  With c = sqrt(1 - eta) a, the environment's amplitude,
+    For basis amplitudes amp (G,) and eta a float or a (G,) array, returns
+    the Kraus pair as a (G, 2, 2, 2) array [g, k, out, in], from the basis
+    at a to the basis at b = sqrt(eta) a.  With c = sqrt(1 - eta) a, the
+    environment's amplitude,
 
         K0 = diag(lam_b lam_c / lam_a, mu_b lam_c / mu_a)
         K1 = [[0, lam_b mu_c / mu_a], [mu_b mu_c / lam_a, 0]]
@@ -104,13 +105,13 @@ def _loss_kraus(amp: np.ndarray, eta: float) -> np.ndarray:
     """
     two_a2 = 2.0 * np.asarray(amp, dtype=float) ** 2
 
-    def lam(frac: float) -> np.ndarray:
+    def lam(frac) -> np.ndarray:
         return np.sqrt((1.0 + np.exp(-frac * two_a2)) / 2.0)
 
-    def mu2(frac: float) -> np.ndarray:
+    def mu2(frac) -> np.ndarray:
         return -np.expm1(-frac * two_a2) / 2.0
 
-    def mu_over_mu_a(frac: float) -> np.ndarray:
+    def mu_over_mu_a(frac) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = mu2(frac) / mu2(1.0)
         return np.sqrt(np.where(two_a2 <= 1e-300, frac, ratio))
@@ -244,9 +245,30 @@ def xstate_concurrence(x: XStateElements) -> float:
     """Closed-form concurrence of an X-structured two-qubit state,
     2 max(0, |e| - sqrt(a d), |f| - sqrt(b c)).
     """
-    ad = max(x.a * x.d, 0.0)
-    bc = max(x.b * x.c, 0.0)
-    return 2.0 * max(0.0, abs(x.e) - math.sqrt(ad), abs(x.f) - math.sqrt(bc))
+    return _x_concurrence(x.a, x.b, x.c, x.d, abs(x.e), abs(x.f))
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _max(first, *rest):
+    """max(first, *rest), element by element where one is an array: a later
+    value replaces the running one only where it is greater, as in max."""
+    for x in rest:
+        if isinstance(first, np.ndarray) or isinstance(x, np.ndarray):
+            first = np.where(x > first, x, first)
+        else:
+            first = max(first, x)
+    return first
+
+
+def _x_concurrence(a, b, c, d, e_abs, f_abs):
+    """`xstate_concurrence` from a, b, c, d, |e| and |f|: floats, or arrays
+    whose each element equals the float call's bit for bit."""
+    inner = e_abs - _sqrt(_max(a * d, 0.0))
+    outer = f_abs - _sqrt(_max(b * c, 0.0))
+    return 2.0 * _max(0.0, inner, outer)
 
 
 def _spectra_concurrences(evals: np.ndarray) -> np.ndarray:

@@ -16,15 +16,12 @@ A sweep is described by a JSON document:
 `run_sweep` evaluates columns over the axis grid.  A column is a registered
 quantity at fixed parameters under a CSV label: a config gives one column
 per quantity, at "fixed", labelled with the quantity's name; a figure's
-`Preset` lists its own.  Each quantity takes the whole axis in one call.  A
-closed form takes the grid as array arguments, in blocks of `BLOCK` points,
-and each of its values equals the float call at that point bit for bit (libm
-per element); one that does not depend on the axis gives its one value at
-every point.
-`damped_concurrence` on an alpha axis is one grid call of the exact Kraus
-route; the other exact quantities run per point.  Values at alpha = 0 are
-the limits the formulas return.  Parity is part of a quantity's name
-(`concurrence_odd`, `concurrence_even`), not a fixed parameter.
+`Preset` lists its own.  Every quantity, the exact ones too, is one call per
+block of `BLOCK` axis points, with the block as an array argument; each
+value equals the float call at that point bit for bit, and a quantity that
+does not depend on the axis gives its one value at every point.  Values at
+alpha = 0 are the limits the formulas return.  Parity is part of a
+quantity's name (`concurrence_odd`, `concurrence_even`).
 
 If "figure" is set, the CLI writes that figure instead (see
 `figures.build_figure`).  When the axis is `alpha`, each quantity of a config
@@ -38,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from numbers import Integral, Real
 
 import numpy as np
@@ -49,78 +45,46 @@ from .formulas import (
     concurrence_pure,
     damped_concurrence,
     damped_concurrence_bound,
-    ghz_damped_elements,
+    ghz_concurrence,
     phase_flip_prob,
     phase_flip_prob_m,
 )
-from .logical import xstate_concurrence
 
 AXES = ("alpha", "eta", "theta")
 
 DEFAULT_QUANTITIES = ("concurrence_odd", "concurrence_even")
 
 
-def _points(axis: str, grid: np.ndarray, p: ChannelParams):
-    """(alpha, eta, theta) at each grid point: the axis runs, the others
-    stay at their fixed values."""
-    fixed = {"alpha": p.alpha, "eta": p.eta, "theta": p.theta}
-    return zip(*(grid.tolist() if name == axis else repeat(value)
-                 for name, value in fixed.items()))
-
-
-# Grid points per closed-form call.  Whole-grid calls on a 10^5-point sweep
-# make a dozen 0.8 MB NumPy temporaries per call, which fragment the heap:
-# over 45 such sweeps in one process the peak RSS grew to 84 MB, against
-# 78 MB for per-point calls.  With 64 KB temporaries it stays within 1 MB of
-# that, and the blocks run faster, as they stay in cache.
+# Grid points per quantity call.  Whole-grid calls on a 10^5-point sweep
+# make 0.8 MB temporaries that fragment the heap (peak RSS 84 MB over 45
+# sweeps, against 78 MB for per-point calls); 64 KB ones stay in cache.
 BLOCK = 8192
 
-
-def _closed_form(form):
-    """A quantity from form(alpha, eta, theta, fixed parameters), a closed
-    form called on array blocks of the axis with the fixed floats elsewhere.
-    Its values come back as plain floats, one per point, also where the form
-    does not depend on the axis."""
-
-    def quantity(axis, grid, p):
-        values = []
-        for start in range(0, len(grid), BLOCK):
-            block = grid[start:start + BLOCK]
-            args = {"alpha": p.alpha, "eta": p.eta, "theta": p.theta}
-            args[axis] = block
-            out = form(args["alpha"], args["eta"], args["theta"], p)
-            values += np.broadcast_to(out, block.shape).tolist()
-        return values
-
-    return quantity
-
-
-def _ghz_concurrence(axis, grid, p):
-    return [xstate_concurrence(ghz_damped_elements(a, e, p.sides))
-            for a, e, _ in _points(axis, grid, p)]
-
-
-def _damped_concurrence(axis, grid, p):
-    if axis == "alpha":
-        return damped_concurrence(grid.tolist(), p.eta, p.theta, p.sides)
-    return [damped_concurrence([a], e, t, p.sides)[0] for a, e, t in _points(axis, grid, p)]
-
-
-def _bound(axis, grid, p):
-    return [damped_concurrence_bound(a, e, t, p.sides) for a, e, t in _points(axis, grid, p)]
-
-
-# name -> f(axis name, grid array, fixed parameters) -> one float per point
+# name -> f(alpha, eta, theta, fixed parameters): floats, or an array block
+# of the axis for the parameter it names, and a float or an array back
 QUANTITIES = {
-    "pure_concurrence": _closed_form(lambda a, e, t, p: concurrence_pure(a, t)),
-    "phase_flip_prob": _closed_form(lambda a, e, t, p: phase_flip_prob(a, e)),
-    "phase_flip_prob_m": _closed_form(lambda a, e, t, p: phase_flip_prob_m(a, e, p.m)),
-    "concurrence_odd": _closed_form(lambda a, e, t, p: concurrence_m(a, e, p.m, "odd")),
-    "concurrence_even": _closed_form(lambda a, e, t, p: concurrence_m(a, e, p.m, "even")),
-    "ghz_concurrence": _ghz_concurrence,
-    "damped_concurrence": _damped_concurrence,
-    "concurrence_bound": _bound,
+    "pure_concurrence": lambda a, e, t, p: concurrence_pure(a, t),
+    "phase_flip_prob": lambda a, e, t, p: phase_flip_prob(a, e),
+    "phase_flip_prob_m": lambda a, e, t, p: phase_flip_prob_m(a, e, p.m),
+    "concurrence_odd": lambda a, e, t, p: concurrence_m(a, e, p.m, "odd"),
+    "concurrence_even": lambda a, e, t, p: concurrence_m(a, e, p.m, "even"),
+    "ghz_concurrence": lambda a, e, t, p: ghz_concurrence(a, e, p.sides),
+    "damped_concurrence": lambda a, e, t, p: damped_concurrence(a, e, t, p.sides),
+    "concurrence_bound": lambda a, e, t, p: damped_concurrence_bound(a, e, t, p.sides),
 }
+
+
+def _evaluate(quantity: str, axis: str, grid: np.ndarray, p: ChannelParams) -> list[float]:
+    """The quantity at each grid point as plain floats: one call per block of
+    `BLOCK` points, the block as the axis argument and floats elsewhere."""
+    values = []
+    for start in range(0, len(grid), BLOCK):
+        block = grid[start:start + BLOCK]
+        # the axis entry replaces its fixed value in place, so the order holds
+        args = {"alpha": p.alpha, "eta": p.eta, "theta": p.theta, axis: block}
+        out = QUANTITIES[quantity](*args.values(), p)
+        values += np.broadcast_to(out, block.shape).tolist()
+    return values
 
 
 @dataclass(frozen=True)
@@ -180,9 +144,7 @@ class SweepConfig:
             # JSON true/false arrive as bool, a subclass of int
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"{name}: must be {what}, got {value!r}")
-        if isinstance(self.quantities, str) or not all(
-            isinstance(q, str) for q in self.quantities
-        ):
+        if isinstance(self.quantities, str) or not all(isinstance(q, str) for q in self.quantities):
             raise ConfigError(f"quantities: must be a list of names, got {self.quantities!r}")
         if self.axis_name not in AXES:
             raise ConfigError(f"axis.name: expected one of {AXES}, got {self.axis_name!r}")
@@ -197,12 +159,10 @@ class SweepConfig:
             raise ConfigError("axis.stop: must be >= axis.start")
         if not self.epsilon >= 0:
             raise ConfigError(f"epsilon: must be nonnegative, got {self.epsilon!r}")
-        for q in self.quantities:
-            if q not in QUANTITIES:
-                raise ConfigError(
-                    f"quantities: unknown quantity {q!r} "
-                    f"(available: {', '.join(sorted(QUANTITIES))})"
-                )
+        unknown = [q for q in self.quantities if q not in QUANTITIES]
+        if unknown:
+            raise ConfigError(f"quantities: unknown quantity {unknown[0]!r} "
+                              f"(available: {', '.join(sorted(QUANTITIES))})")
         if not self.quantities:
             raise ConfigError("quantities: must not be empty")
         if self.figure is not None and not 1 <= self.figure <= 6:
@@ -235,15 +195,14 @@ def config_from_dict(raw: dict, source: str = "<config>") -> SweepConfig:
     for key in raw:
         if key not in known:
             raise ConfigError(f"{source}: unknown field {key!r}")
-    kwargs = {}
     axis = raw.get("axis", {})
     if not isinstance(axis, dict):
         raise ConfigError(f"{source}: axis must be an object")
-    if "name" in axis:
-        kwargs["axis_name"] = axis["name"]
-    for src, dst in (("start", "start"), ("stop", "stop"), ("steps", "steps")):
-        if src in axis:
-            kwargs[dst] = axis[src]
+    kwargs = {"axis_name" if k == "name" else k: axis[k]
+              for k in ("name", "start", "stop", "steps") if k in axis}
+    kwargs.update({k: raw[k] for k in ("epsilon", "out") if k in raw})
+    if raw.get("figure") is not None:
+        kwargs["figure"] = raw["figure"]
     if "quantities" in raw:
         if not isinstance(raw["quantities"], list):
             raise ConfigError(f"{source}: quantities must be a list")
@@ -253,16 +212,8 @@ def config_from_dict(raw: dict, source: str = "<config>") -> SweepConfig:
         raise ConfigError(f"{source}: fixed must be an object")
     try:
         kwargs["fixed"] = replace(ChannelParams(eta=0.9, m=5), **fixed_raw)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: fixed: {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"{source}: fixed: {exc}")
-    if "epsilon" in raw:
-        kwargs["epsilon"] = raw["epsilon"]
-    if "out" in raw:
-        kwargs["out"] = raw["out"]
-    if "figure" in raw and raw["figure"] is not None:
-        kwargs["figure"] = raw["figure"]
     return SweepConfig(**kwargs)
 
 
@@ -278,7 +229,7 @@ def run_sweep(config: SweepConfig | Preset):
     values = []
     for c in columns:
         try:
-            values.append(QUANTITIES[c.quantity](config.axis_name, grid, c.fixed))
+            values.append(_evaluate(c.quantity, config.axis_name, grid, c.fixed))
         except ValueError as exc:
             raise ConfigError(f"quantity {c.quantity!r} over {config.axis_name} "
                               f"[{config.start}, {config.stop}]: {exc}")

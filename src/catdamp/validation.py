@@ -31,12 +31,14 @@ from .coherent import (
     tensor,
 )
 from .formulas import (
-    _x_elements,
+    _ghz_damped_matrices,
+    _ghz_elements_closed,
+    _x_parts,
     cat_state,
     concurrence_m,
     concurrence_pure,
+    damped_concurrence,
     damped_concurrence_bound,
-    damped_state_projection,
     ghz_damped_elements,
     ghz_damped_projection,
     ghz_state,
@@ -57,6 +59,8 @@ from .sweep import vanishing_point
 
 ALPHA_GRID = (0.2, 0.65, 1.1, 1.55, 2.0)
 ETA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
+# every (alpha, eta) pair of the two grids, as two flat arrays
+PAIR_ALPHAS, PAIR_ETAS = (g.ravel() for g in np.meshgrid(ALPHA_GRID, ETA_GRID))
 
 
 def _random_state(rng, modes, terms, amp_scale=1.2) -> SuperpositionState:
@@ -238,12 +242,8 @@ def check_phase_flip_gap_positive(rng) -> float:
 
 
 def check_ghz_diagonal_weight(rng) -> float:
-    worst = 0.0
-    for alpha in ALPHA_GRID:
-        for eta in ETA_GRID:
-            x = ghz_damped_elements(alpha, eta, "one")
-            worst = max(worst, abs(x.a + x.b + x.c + x.d - 1.0))
-    return worst
+    a, b, c, d, _, _ = _x_parts(_ghz_damped_matrices(PAIR_ALPHAS, PAIR_ETAS, "one"))
+    return float(np.max(np.abs(a + b + c + d - 1.0)))
 
 
 def check_ghz_psd(rng) -> float:
@@ -266,31 +266,21 @@ def check_ghz_projection_residual(rng) -> float:
 
 
 def check_ghz_lossless_reduction(rng) -> float:
-    worst = 0.0
-    for alpha in (0.3, 0.8, 1.5):
-        x = ghz_damped_elements(alpha, 1.0, "one")
-        worst = max(
-            worst,
-            abs(x.a - 0.5),
-            abs(x.d - 0.5),
-            abs(abs(x.f) - 0.5),
-            abs(x.b),
-            abs(x.c),
-            abs(x.e),
-        )
-    return worst
+    a, b, c, d, e, f = _x_parts(_ghz_damped_matrices(np.array([0.3, 0.8, 1.5]), 1.0, "one"))
+    return float(np.max(np.abs([a - 0.5, d - 0.5, np.abs(f) - 0.5, b, c, np.abs(e)])))
 
 
 def check_ghz_closed_form_agreement(rng) -> float:
+    # the Kraus route and the dyad route against the closed forms
     worst = 0.0
+    alphas = np.array(ALPHA_GRID)
     for eta in (0.1, 0.5, 0.9):
         for sides in ("one", "two"):
-            mats, _ = ghz_damped_projection(np.array(ALPHA_GRID), eta, sides)
-            for alpha, mat in zip(ALPHA_GRID, mats):
-                c = ghz_damped_elements(alpha, eta, sides, method="closed")
-                for exact in (ghz_damped_elements(alpha, eta, sides), _x_elements(mat)):
-                    for name in ("a", "b", "c", "d", "e", "f"):
-                        worst = max(worst, abs(getattr(exact, name) - getattr(c, name)))
+            closed = _ghz_elements_closed(alphas, eta, sides)
+            for mats in (_ghz_damped_matrices(alphas, eta, sides),
+                         ghz_damped_projection(alphas, eta, sides)[0]):
+                for exact, want in zip(_x_parts(mats), closed):
+                    worst = max(worst, float(np.max(np.abs(exact - want))))
     return worst
 
 
@@ -313,12 +303,9 @@ def check_ghz_fock_crosscheck(rng) -> float:
 def check_bound_domination(rng) -> float:
     worst = 0.0
     for sides in ("one", "two"):
-        for eta in ETA_GRID:
-            mats, _ = damped_state_projection(np.array(ALPHA_GRID), eta, math.pi, sides)
-            for alpha, mat in zip(ALPHA_GRID, mats):
-                bound = damped_concurrence_bound(alpha, eta, math.pi, sides)
-                direct = xstate_concurrence(_x_elements(mat))
-                worst = max(worst, -min(bound - direct, 0.0))
+        gap = (damped_concurrence_bound(PAIR_ALPHAS, PAIR_ETAS, math.pi, sides)
+               - damped_concurrence(PAIR_ALPHAS, PAIR_ETAS, math.pi, sides))
+        worst = max(worst, float(np.max(-np.minimum(gap, 0.0))))
     return worst
 
 

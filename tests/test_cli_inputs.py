@@ -7,6 +7,7 @@ import json
 import pytest
 
 from catdamp.cli import main
+from catdamp.figures import figure_reads
 from catdamp.formulas import concurrence_m, phase_flip_prob, phase_flip_prob_m
 from catdamp.sweep import ConfigError, SweepConfig
 
@@ -98,14 +99,49 @@ def test_sweep_parity_flag_is_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("fig", [1, 2, 3, 4])
-def test_fig_parity_flag_is_usage_error_below_fig5(fig, tmp_path, capsys):
-    # figures 1-4 have no parity branches to select
+# (figure, flag and value, the figures that read the flag); figure 1 reads
+# none, and no figure reads --epsilon
+UNREAD_FLAGS = [
+    *((fig, ["--parity", "even"], "figures 5 and 6") for fig in (1, 2, 3, 4)),
+    (1, ["--steps", "5"], "figures 2, 3, 4, 5 and 6"),
+    (1, ["--alpha-max", "2"], "figures 2, 3, 4, 5 and 6"),
+    (1, ["--eta", "0.5"], "figures 2, 3, 4, 5 and 6"),
+    (2, ["--m", "5"], "figures 4, 5 and 6"),
+    (3, ["--m", "5"], "figures 4, 5 and 6"),
+    (2, ["--sides", "two"], "figure 3"),
+    (4, ["--sides", "two"], "figure 3"),
+    (5, ["--sides", "two"], "figure 3"),
+    (6, ["--sides", "both"], "figure 3"),
+    *((fig, ["--epsilon", "0.5"], "sweeps") for fig in (1, 2, 3, 4, 5, 6)),
+]
+
+
+@pytest.mark.parametrize("fig,flag,readers", UNREAD_FLAGS,
+                         ids=[f"{fig}-{flag[0][2:]}" for fig, flag, _ in UNREAD_FLAGS])
+def test_fig_flag_it_does_not_read_is_usage_error(fig, flag, readers, tmp_path, capsys):
+    # the flag would leave the figure's bytes as they are without it
     out = tmp_path / f"fig{fig}.csv"
-    assert main(["fig", str(fig), "--parity", "even", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "catdamp fig: --parity applies only to figures 5 and 6\n")
+    assert main(["fig", str(fig), *flag, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"catdamp fig: {flag[0]} applies only to {readers}\n"
+    # a "figure": N config takes the same path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"figure": fig}))
+    assert main(["sweep", "--config", str(cfg), *flag, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"catdamp sweep: {flag[0]} applies only to {readers}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fig", [2, 3, 4, 5, 6])
+def test_fig_takes_every_flag_it_reads(fig, tmp_path):
+    flags = {"alpha_max": ["--alpha-max", "2"], "steps": ["--steps", "5"],
+             "etas": ["--eta", "0.5"], "modes": ["--m", "3"], "sides": ["--sides", "two"],
+             "parities": ["--parity", "odd"]}
+    argv = [arg for name in figure_reads(fig) for arg in flags[name]]
+    out = tmp_path / "fig.csv"
+    assert main(["fig", str(fig), *argv, "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert len(rows) == 5 and rows[-1].startswith("2.0,")
+    assert all(label.endswith("eta0.5") for label in header.split(",")[1:])
 
 
 def test_config_fixed_parity_is_usage_error(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The closed forms' float-or-array contract, the CSV writer against the
-per-value reference writer, and the closed-form quantities of `run_sweep` on
-every axis against per-point float calls."""
+per-value reference writer, and every quantity of `run_sweep` on every axis
+against per-point float calls."""
 
 import math
 import sys
@@ -14,9 +14,14 @@ from catdamp.formulas import (
     ChannelParams,
     concurrence_m,
     concurrence_pure,
+    damped_concurrence_bound,
+    damped_state_elements,
+    ghz_concurrence_limit,
+    ghz_damped_elements,
     phase_flip_prob,
     phase_flip_prob_m,
 )
+from catdamp.logical import xstate_concurrence
 from catdamp import sweep
 from catdamp.sweep import SweepConfig, run_sweep
 
@@ -40,6 +45,9 @@ def _closed_forms():
         for parity in ("odd", "even"):
             yield (f"concurrence_{parity}_m{m}",
                    lambda a, e, t, m=m, parity=parity: concurrence_m(a, e, m, parity))
+    for sides in ("one", "two"):
+        yield (f"damped_concurrence_bound_{sides}",
+               lambda a, e, t, sides=sides: damped_concurrence_bound(a, e, t, sides))
 
 
 CLOSED_FORMS = list(_closed_forms())
@@ -117,6 +125,23 @@ def test_lossless_limits_where_alpha_squared_overflows(m):
                           (concurrence_m(alpha, 1.0, m, "odd"), 1.0),
                           (concurrence_m(alpha, 1.0, m, "even"), 1.0)):
             assert np.array_equal(got, np.full(np.shape(alpha), want))
+
+
+@pytest.mark.parametrize("sides", ["one", "two"])
+def test_bound_limits(sides):
+    # alpha = 0: the GHZ limit times 1 at cos(theta) = -1, 0 elsewhere; where
+    # alpha^2 overflows, 1 at eta = 1 and 0 below
+    assert damped_concurrence_bound(0.0, 0.3, math.pi, sides) == ghz_concurrence_limit(0.3, sides)
+    assert damped_concurrence_bound(0.0, 0.3, 1.0, sides) == 0.0
+    for alpha in (1e200, HUGE_ALPHAS):
+        got = damped_concurrence_bound(alpha, np.array([[0.5], [1.0]]), 2.0, sides)
+        assert np.array_equal(got, np.broadcast_to([[0.0], [1.0]], got.shape))
+    # below alpha ~ 2.6e-9 the pure factor is 0, where mu^2 or mu^4 of the
+    # GHZ elements may underflow to 0; at cos(theta) = -1 it raises
+    for alpha in (1e-100, 1e-170, np.array([0.0, 1e-100, 1e-170])):
+        assert not np.any(damped_concurrence_bound(alpha, 0.5, 1.0, sides))
+        with pytest.raises(ValueError, match="rounds to 0 at alpha = 1e-"):
+            damped_concurrence_bound(alpha, 0.5, math.pi, sides)
 
 
 def test_value_independent_of_an_array_argument_takes_its_shape():
@@ -235,12 +260,24 @@ def test_write_csv_matches_the_reference_on_a_sweep(tmp_path):
 # ---------------------------------------------------------------- run_sweep
 
 
+def _bound(a, e, t, p):
+    """fig 3's bound as the product of the public one-point calls."""
+    if a == 0.0:
+        return ghz_concurrence_limit(e, p.sides) * (1.0 if math.cos(t) == -1.0 else 0.0)
+    ghz = xstate_concurrence(ghz_damped_elements(a, e, p.sides, method="closed"))
+    return ghz * concurrence_pure(a, t)
+
+
 PER_POINT = {
     "pure_concurrence": lambda a, e, t, p: concurrence_pure(a, t),
     "phase_flip_prob": lambda a, e, t, p: phase_flip_prob(a, e),
     "phase_flip_prob_m": lambda a, e, t, p: phase_flip_prob_m(a, e, p.m),
     "concurrence_odd": lambda a, e, t, p: concurrence_m(a, e, p.m, "odd"),
     "concurrence_even": lambda a, e, t, p: concurrence_m(a, e, p.m, "even"),
+    "ghz_concurrence": lambda a, e, t, p: xstate_concurrence(ghz_damped_elements(a, e, p.sides)),
+    "damped_concurrence": lambda a, e, t, p: (
+        0.0 if a == 0.0 else xstate_concurrence(damped_state_elements(a, e, t, p.sides))),
+    "concurrence_bound": _bound,
 }
 
 
@@ -249,21 +286,28 @@ PER_POINT = {
 ])
 @pytest.mark.parametrize("block", [sweep.BLOCK, 5])
 def test_run_sweep_closed_forms_equal_per_point_calls(monkeypatch, block, axis, start, stop):
-    # 37 points in one block, or in seven blocks of 5 and one of 2
+    # every quantity, the exact ones too; 37 points in one block, or in
+    # seven blocks of 5 and one of 2
     monkeypatch.setattr(sweep, "BLOCK", block)
-    fixed = ChannelParams(alpha=0.8, eta=0.6, theta=2.0, m=4)
-    config = SweepConfig(axis_name=axis, start=start, stop=stop, steps=37,
-                         quantities=tuple(PER_POINT), fixed=fixed)
-    header, rows = run_sweep(config)
-    assert header[:6] == [axis, *PER_POINT]
-    assert len(rows) == 37
-    for row in rows:
-        point = {"alpha": fixed.alpha, "eta": fixed.eta, "theta": fixed.theta}
-        point[axis] = row[0]
-        for q, value in zip(PER_POINT, row[1:6]):
-            # plain floats, as build_figure promises, equal to the float call
-            assert type(value) is float
-            assert value == PER_POINT[q](point["alpha"], point["eta"], point["theta"], fixed)
+    for sides in ("one", "two"):
+        fixed = ChannelParams(alpha=0.8, eta=0.6, theta=2.0, m=4, sides=sides)
+        config = SweepConfig(axis_name=axis, start=start, stop=stop, steps=37,
+                             quantities=tuple(PER_POINT), fixed=fixed)
+        header, rows = run_sweep(config)
+        assert header[:1 + len(PER_POINT)] == [axis, *PER_POINT]
+        assert len(rows) == 37
+        for row in rows:
+            point = {"alpha": fixed.alpha, "eta": fixed.eta, "theta": fixed.theta}
+            point[axis] = row[0]
+            for q, value in zip(PER_POINT, row[1:]):
+                # plain floats, as build_figure promises, equal to the float call
+                assert type(value) is float
+                want = PER_POINT[q](point["alpha"], point["eta"], point["theta"], fixed)
+                assert value == want, (sides, q, row[0])
+        if axis == "eta":
+            # at eta = 1 the X coherences are float noise, not an exact 0
+            direct = 1 + list(PER_POINT).index("damped_concurrence")
+            assert rows[-1][0] == 1.0 and rows[-1][direct] > 0.0
 
 
 def test_identity_m3_draws_match_the_interleaved_scalar_draws():

@@ -16,7 +16,6 @@ from catdamp.sweep import SweepConfig, run_sweep
 from catdamp.formulas import (
     SIDES,
     ChannelParams,
-    _ghz_elements_closed,
     _x_elements,
     cat_state,
     concurrence_m,
@@ -356,6 +355,19 @@ class TestDampedStateGridKernel:
                 assert np.array_equal(one_mat, mat), alpha
                 assert one_residual == residual, alpha
 
+    @pytest.mark.parametrize("sides", ("one", "two"))
+    def test_eta_and_theta_arrays_equal_single_calls(self, sides):
+        # eta and theta broadcast with alpha, a float included
+        etas = np.array([0.05, 0.3, 0.9, 1.0])
+        thetas = np.array([0.0, 1.0, 2.0, math.pi])
+        for alpha, eta, theta in ((0.8, etas, thetas), (KERNEL_ALPHAS[:4], etas, 2.0),
+                                  (0.8, 0.3, thetas)):
+            mats, residuals = damped_state_projection(alpha, eta, theta, sides)
+            points = np.broadcast_arrays(alpha, eta, theta)
+            for (a, e, t), mat, residual in zip(zip(*points), mats, residuals):
+                one_mat, one_residual = damped_state_projection(float(a), float(e), float(t), sides)
+                assert np.array_equal(one_mat, mat) and one_residual == residual, (a, e, t)
+
     def test_pruned_dyads(self):
         # strong loss at large amplitude damps the cross dyads below
         # PRUNE_TOL, so canonicalize drops them
@@ -552,7 +564,7 @@ class TestKrausRoute:
         for alpha in np.geomspace(1e-4, 0.19, 40):
             for eta in (0.05, 0.3, 0.5, 0.9, 1.0):
                 x = ghz_damped_elements(float(alpha), eta, sides)
-                c = _ghz_elements_closed(float(alpha), eta, sides)
+                c = ghz_damped_elements(float(alpha), eta, sides, method="closed")
                 for name in ("a", "b", "c", "d", "e", "f"):
                     assert abs(getattr(x, name) - getattr(c, name)) <= 1e-15, (alpha, eta)
 
