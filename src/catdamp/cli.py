@@ -19,29 +19,21 @@ from .validation import format_table, run_validation, write_report
 USAGE_ERROR = 2
 
 
-def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    """Add the grid flags; `args.grid_flags` maps the dest of each flag that
-    a figure may not read (the `build_figure` keyword it sets) to the flag."""
-    flags = {}
-
-    def add(flag, **kwargs):
-        flags[parser.add_argument(flag, default=None, **kwargs).dest] = flag
-
-    add("--alpha-max", type=float, help="upper end of the field-amplitude grid (default 4)")
-    add("--steps", type=int, help="number of grid points (default 401)")
-    add("--eta", dest="etas", type=float, action="append",
-        help="transmissivity; repeat to set several")
-    add("--m", dest="modes", type=int, action="append", help="mode count; repeat to set several")
-    add("--parity", dest="parities", choices=["odd", "even", "both"],
-        help="which parity branch figures 5 and 6 emit")
-    add("--sides", choices=["one", "two", "both"],
-        help="channel sidedness for damped-state quantities")
-    add("--epsilon", type=float, help="vanishing threshold for alpha_star extraction")
-    parser.set_defaults(grid_flags=flags)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="accepted for interface uniformity; figure and "
-                             "sweep outputs are deterministic regardless")
-    parser.add_argument("--out", default=None, help="output CSV path")
+# `fig` grid flags: the `build_figure` keyword each sets -> the flag and its
+# options; a figure reads the keywords that `figure_reads` lists for it
+FIG_FLAGS = {
+    "alpha_max": ("--alpha-max", {"type": float,
+                                  "help": "upper end of the field-amplitude grid (default 4)"}),
+    "steps": ("--steps", {"type": int, "help": "number of grid points (default 401)"}),
+    "etas": ("--eta", {"type": float, "action": "append", "metavar": "ETA",
+                       "help": "transmissivity; repeat to set several"}),
+    "modes": ("--m", {"type": int, "action": "append", "metavar": "M",
+                      "help": "mode count; repeat to set several"}),
+    "parities": ("--parity", {"choices": ["odd", "even", "both"],
+                              "help": "which parity branch figures 5 and 6 emit"}),
+    "sides": ("--sides", {"choices": ["one", "two", "both"],
+                          "help": "which channel sidedness figure 3 emits"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,11 +48,21 @@ def build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("fig", help="write one figure's data as CSV")
     fig.add_argument("figure", type=int, choices=range(1, 7), metavar="FIG",
                      help="figure id, 1..6")
-    _add_grid_flags(fig)
+    for keyword, (flag, options) in FIG_FLAGS.items():
+        fig.add_argument(flag, dest=keyword, **options)
+    fig.add_argument("--out", help="output CSV path (default figFIG.csv)")
 
     sweep = sub.add_parser("sweep", help="evaluate quantities over a parameter grid")
-    sweep.add_argument("--config", default=None, help="JSON sweep configuration")
-    _add_grid_flags(sweep)
+    sweep.add_argument("--config", help="JSON sweep configuration; the fields it omits "
+                                        "take their defaults")
+    sweep.add_argument("--alpha-max", type=float, help="upper end of the alpha axis")
+    sweep.add_argument("--steps", type=int, help="number of grid points")
+    sweep.add_argument("--eta", type=float, help="fixed transmissivity")
+    sweep.add_argument("--m", type=int, help="fixed mode count")
+    sweep.add_argument("--sides", choices=["one", "two"],
+                       help="fixed channel sidedness of the damped-state quantities")
+    sweep.add_argument("--epsilon", type=float, help="vanishing threshold of the alpha_star columns")
+    sweep.add_argument("--out", help="output CSV path (default: the config's, else sweep.csv)")
 
     val = sub.add_parser("validate", help="run the cross-backend validation suite")
     val.add_argument("--seed", type=int, default=0, help="seed for the randomized checks")
@@ -73,64 +75,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _one_or_both(flag: str | None):
-    """A --sides or --parity value as `build_figure` takes it: one value,
-    or None (the figure's default, both) for "both" or no flag."""
-    return None if flag in (None, "both") else (flag,)
-
-
-def _reject_unread(args, reads) -> None:
-    """Raise ConfigError for the first grid flag given whose dest is not
-    in `reads`, naming the figures that read it."""
-    for dest, flag in args.grid_flags.items():
-        if getattr(args, dest) is not None and dest not in reads:
-            figures = [str(f) for f in range(1, 7) if dest in figure_reads(f)]
+def _fig_keywords(args) -> dict:
+    """The `build_figure` keywords of the grid flags given.  Raises
+    ConfigError for the first flag whose keyword the figure does not read,
+    naming the figures that read it."""
+    keywords = {}
+    for keyword, (flag, _) in FIG_FLAGS.items():
+        value = getattr(args, keyword)
+        if value is None:
+            continue
+        if keyword not in figure_reads(args.figure):
+            figures = [str(f) for f in range(1, 7) if keyword in figure_reads(f)]
             where = (f"figure {figures[0]}" if len(figures) == 1 else
-                     f"figures {', '.join(figures[:-1])} and {figures[-1]}" if figures else
-                     "sweeps")
+                     f"figures {', '.join(figures[:-1])} and {figures[-1]}")
             raise ConfigError(f"{flag} applies only to {where}")
+        if value != "both":  # else the figure's default, both branches
+            keywords[keyword] = (value,) if isinstance(value, str) else value
+    return keywords
 
 
 def _with_flags(config: SweepConfig, args) -> SweepConfig:
-    """The config with the grid flags applied; --eta and --m set the fixed
-    value to the last one given.  A figure config takes only the flags that
-    its figure reads, and a sweep config all but --parity."""
-    _reject_unread(args, figure_reads(config.figure) if config.figure is not None
-                   else set(args.grid_flags) - {"parities"})
+    """The config with the flags given: --alpha-max, --steps, --epsilon and
+    --out set its grid, threshold and output, --eta, --m and --sides its
+    fixed parameters."""
     if args.alpha_max is not None and config.axis_name != "alpha":
         raise ConfigError("--alpha-max applies only to alpha sweeps")
     overrides = {key: value for key, value in (("stop", args.alpha_max), ("steps", args.steps),
                                                ("epsilon", args.epsilon), ("out", args.out))
                  if value is not None}
-    fixed_overrides = {key: values[-1] for key, values in (("eta", args.etas), ("m", args.modes))
-                       if values is not None}
-    if _one_or_both(args.sides):
-        fixed_overrides["sides"] = args.sides
-    if fixed_overrides:
+    fixed = {key: value for key, value in (("eta", args.eta), ("m", args.m), ("sides", args.sides))
+             if value is not None}
+    if fixed:
         try:
-            overrides["fixed"] = replace(config.fixed, **fixed_overrides)
+            overrides["fixed"] = replace(config.fixed, **fixed)
         except ValueError as exc:
             raise ConfigError(f"fixed: {exc}")
     return replace(config, **overrides)
 
 
-def _write_sweep(command: str, config: SweepConfig, args, default_out: str) -> int:
-    """Apply the flags to the config, build its figure (every flag value of
-    --eta and --m counts there) or its sweep, and write the CSV."""
+def _write(command: str, build, out: str) -> int:
+    """Write the (header, rows) that `build()` returns to out as CSV; exit
+    2 when `build` raises ValueError or OverflowError, or out is not
+    writable."""
     try:
-        config = _with_flags(config, args)
-        if config.figure is not None:
-            header, rows = build_figure(
-                config.figure, alpha_max=config.stop, steps=config.steps, etas=args.etas,
-                modes=args.modes, sides=_one_or_both(args.sides),
-                parities=_one_or_both(args.parities),
-            )
-        else:
-            header, rows = run_sweep(config)
+        header, rows = build()
     except (ValueError, OverflowError) as exc:
         print(f"catdamp {command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    out = config.out or default_out
     try:
         write_csv(out, header, rows)
     except OSError as exc:
@@ -141,16 +132,17 @@ def _write_sweep(command: str, config: SweepConfig, args, default_out: str) -> i
 
 
 def cmd_fig(args) -> int:
-    return _write_sweep("fig", SweepConfig(figure=args.figure), args, f"fig{args.figure}.csv")
+    return _write("fig", lambda: build_figure(args.figure, **_fig_keywords(args)),
+                  args.out or f"fig{args.figure}.csv")
 
 
 def cmd_sweep(args) -> int:
     try:
-        config = load_config(args.config) if args.config else SweepConfig()
+        config = _with_flags(load_config(args.config) if args.config else SweepConfig(), args)
     except ConfigError as exc:
         print(f"catdamp sweep: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return _write_sweep("sweep", config, args, "sweep.csv")
+    return _write("sweep", lambda: run_sweep(config), config.out or "sweep.csv")
 
 
 def _parse_tolerances(entries: list[str]):

@@ -99,18 +99,17 @@ def _fig4(etas=FIG4_ETAS, modes=MODE_COUNTS):
 
 
 def _mmode_concurrence(etas, modes=MODE_COUNTS, parities=("odd", "even")):
-    eta = etas[0]
     return [
         Column(f"concurrence_{parity}", ChannelParams(eta=eta, m=m),
                f"{'cminus' if parity == 'odd' else 'cplus'}_m{m}_eta{eta:g}")
+        for eta in etas
         for parity in parities
         for m in modes
     ]
 
 
 # figure id -> the builder of its columns; the builder's arguments, with
-# their defaults, are the `build_figure` keywords the figure reads.  Figures
-# 5 and 6 take the first transmissivity only.
+# their defaults, are the `build_figure` keywords the figure reads.
 PRESETS = {
     2: _fig2,
     3: _fig3,
@@ -128,18 +127,25 @@ def figure_reads(fig: int) -> tuple[str, ...]:
     return ("alpha_max", "steps", *inspect.signature(PRESETS[fig]).parameters)
 
 
-def build_figure(fig: int, *, alpha_max: float = ALPHA_MAX_DEFAULT,
-                 steps: int = ALPHA_STEPS_DEFAULT, etas: Sequence[float] | None = None,
-                 modes: Sequence[int] | None = None, sides: Sequence[str] | None = None,
-                 parities: Sequence[str] | None = None):
+def build_figure(fig: int, *, alpha_max: float | None = None, steps: int | None = None,
+                 etas: Sequence[float] | None = None, modes: Sequence[int] | None = None,
+                 sides: Sequence[str] | None = None, parities: Sequence[str] | None = None):
     """Figure 1's surface, or the preset of figures 2-6 run through
-    `run_sweep`, with the given overrides of the preset's values; a figure
-    ignores the keywords that `figure_reads` does not list for it."""
+    `run_sweep` over the grid [0, alpha_max] (default `ALPHA_MAX_DEFAULT`,
+    `ALPHA_STEPS_DEFAULT` points), with the given overrides of the preset's
+    values.  A keyword that is not None and that `figure_reads` does not
+    list for the figure is a ValueError."""
+    if fig not in range(1, 7):
+        raise ValueError(f"unknown figure id {fig} (expected 1..6)")
+    given = {k: v for k, v in (("alpha_max", alpha_max), ("steps", steps), ("etas", etas),
+                               ("modes", modes), ("sides", sides), ("parities", parities))
+             if v is not None}
+    unread = [k for k in given if k not in figure_reads(fig)]
+    if unread:
+        raise ValueError(f"figure {fig} does not read {unread[0]}")
     if fig == 1:
         return fig1_rows()
-    if fig not in PRESETS:
-        raise ValueError(f"unknown figure id {fig} (expected 1..6)")
-    given = {"etas": etas, "modes": modes, "sides": sides, "parities": parities}
-    read = figure_reads(fig)
-    columns = PRESETS[fig](**{k: tuple(v) for k, v in given.items() if v and k in read})
+    alpha_max = given.pop("alpha_max", ALPHA_MAX_DEFAULT)
+    steps = given.pop("steps", ALPHA_STEPS_DEFAULT)
+    columns = PRESETS[fig](**{k: tuple(v) for k, v in given.items()})
     return run_sweep(Preset(tuple(columns), alpha_max, steps))

@@ -9,8 +9,7 @@ A sweep is described by a JSON document:
       "fixed": {"alpha": 1.0, "eta": 0.9, "theta": 3.141592653589793,
                 "m": 5, "sides": "one"},
       "epsilon": 0.001,
-      "out": "sweep.csv",
-      "figure": null
+      "out": "sweep.csv"
     }
 
 `run_sweep` evaluates columns over the axis grid.  A column is a registered
@@ -23,11 +22,10 @@ does not depend on the axis gives its one value at every point.  Values at
 alpha = 0 are the limits the formulas return.  Parity is part of a
 quantity's name (`concurrence_odd`, `concurrence_even`).
 
-If "figure" is set, the CLI writes that figure instead (see
-`figures.build_figure`).  When the axis is `alpha`, each quantity of a config
-additionally gets an `alpha_star_*` column holding the first grid alpha at
-which the quantity drops below epsilon after having been at or above it
-("none" when that never happens).
+When the axis is `alpha`, each quantity of a config additionally gets an
+`alpha_star_*` column holding the first grid alpha at which the quantity
+drops below epsilon after having been at or above it ("none" when that
+never happens).
 """
 
 from __future__ import annotations
@@ -110,7 +108,8 @@ class Preset:
 
     def __post_init__(self):
         if not (self.steps >= 1 and 0.0 < self.stop < math.inf):
-            raise ValueError("need a positive, finite grid")
+            raise ValueError(f"need steps >= 1 and a positive, finite alpha_max, "
+                             f"got {self.steps} and {self.stop!r}")
 
 
 class ConfigError(ValueError):
@@ -127,19 +126,17 @@ class SweepConfig:
     fixed: ChannelParams = field(default_factory=lambda: ChannelParams(eta=0.9, m=5))
     epsilon: float = 1e-3
     out: str | None = None
-    figure: int | None = None
 
     def __post_init__(self):
         number, integer, text = (Real, "a number"), (Integral, "an integer"), (str, "a string")
         text_or_null = ((str, type(None)), "a string or null")
-        integer_or_null = ((Integral, type(None)), "an integer or null")
         for name, value, (kind, what) in (
             ("axis.start", self.start, number), ("axis.stop", self.stop, number),
             ("axis.steps", self.steps, integer), ("epsilon", self.epsilon, number),
             ("fixed.alpha", self.fixed.alpha, number), ("fixed.eta", self.fixed.eta, number),
             ("fixed.theta", self.fixed.theta, number), ("fixed.m", self.fixed.m, integer),
             ("fixed.sides", self.fixed.sides, text),
-            ("out", self.out, text_or_null), ("figure", self.figure, integer_or_null),
+            ("out", self.out, text_or_null),
         ):
             # JSON true/false arrive as bool, a subclass of int
             if isinstance(value, bool) or not isinstance(value, kind):
@@ -165,8 +162,6 @@ class SweepConfig:
                               f"(available: {', '.join(sorted(QUANTITIES))})")
         if not self.quantities:
             raise ConfigError("quantities: must not be empty")
-        if self.figure is not None and not 1 <= self.figure <= 6:
-            raise ConfigError(f"figure: expected 1..6, got {self.figure}")
 
     @property
     def columns(self) -> tuple[Column, ...]:
@@ -191,18 +186,17 @@ def load_config(path: str) -> SweepConfig:
 def config_from_dict(raw: dict, source: str = "<config>") -> SweepConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be a JSON object")
-    known = {"axis", "quantities", "fixed", "epsilon", "out", "figure"}
     for key in raw:
-        if key not in known:
+        if key not in ("axis", "quantities", "fixed", "epsilon", "out"):
             raise ConfigError(f"{source}: unknown field {key!r}")
     axis = raw.get("axis", {})
     if not isinstance(axis, dict):
         raise ConfigError(f"{source}: axis must be an object")
-    kwargs = {"axis_name" if k == "name" else k: axis[k]
-              for k in ("name", "start", "stop", "steps") if k in axis}
+    for key in axis:
+        if key not in ("name", "start", "stop", "steps"):
+            raise ConfigError(f"{source}: unknown field 'axis.{key}'")
+    kwargs = {"axis_name" if k == "name" else k: v for k, v in axis.items()}
     kwargs.update({k: raw[k] for k in ("epsilon", "out") if k in raw})
-    if raw.get("figure") is not None:
-        kwargs["figure"] = raw["figure"]
     if "quantities" in raw:
         if not isinstance(raw["quantities"], list):
             raise ConfigError(f"{source}: quantities must be a list")

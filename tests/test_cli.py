@@ -167,25 +167,6 @@ class TestSweepCommand:
             expected = (1 - p * p) / (1 + p * p * math.cos(theta))
             assert float(r["pure_concurrence"]) == pytest.approx(expected, abs=1e-12)
 
-    def test_figure_delegation(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "figure": 2,
-            "axis": {"steps": 11},
-            "out": str(tmp_path / "fig.csv"),
-        }))
-        assert main(["sweep", "--config", str(cfg)]) == 0
-        assert len(read_csv(tmp_path / "fig.csv")) == 11
-        # `fig N` and a config's "figure": N take the same path
-        cfg.write_text(json.dumps({"figure": 3, "axis": {"steps": 11},
-                                   "out": str(tmp_path / "via_sweep.csv")}))
-        assert main(["sweep", "--config", str(cfg), "--eta", "0.5", "--sides", "two"]) == 0
-        assert main(["fig", "3", "--steps", "11", "--eta", "0.5", "--sides", "two",
-                     "--out", str(tmp_path / "via_fig.csv")]) == 0
-        via_sweep = (tmp_path / "via_sweep.csv").read_bytes()
-        assert via_sweep == (tmp_path / "via_fig.csv").read_bytes()
-        assert via_sweep.startswith(b"alpha,bound_twosided_eta0.5,direct_twosided_eta0.5\n")
-
     def test_unknown_quantity_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"quantities": ["nope"]}))
@@ -349,14 +330,6 @@ class TestOverflowIsUsageError:
         monkeypatch.setattr(cli, "build_figure", self.overflow)
         assert main(["fig", "3", "--out", str(tmp_path / "f.csv")]) == 2
         assert "catdamp fig: math range error" in capsys.readouterr().err
-        assert not (tmp_path / "f.csv").exists()
-
-    def test_sweep_figure(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "build_figure", self.overflow)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"figure": 3}))
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "f.csv")]) == 2
-        assert "catdamp sweep: math range error" in capsys.readouterr().err
         assert not (tmp_path / "f.csv").exists()
 
     def test_sweep(self, tmp_path, monkeypatch, capsys):

@@ -70,7 +70,8 @@ def test_tiny_alpha_sweep(tmp_path, capsys):
     ({"fixed": {"alpha": "1"}}, "fixed"),
     ({"fixed": {"theta": None}}, "fixed"),
     ({"out": 5}, "out"),
-    ({"figure": "3"}, "figure"),
+    ({"figure": 3}, "figure"),
+    ({"axis": {"nme": "eta"}}, "axis.nme"),
 ])
 def test_config_type_error_is_usage_error(tmp_path, capsys, raw, field):
     cfg = tmp_path / "cfg.json"
@@ -89,18 +90,30 @@ def test_sweep_config_checks_types_directly():
         SweepConfig(quantities="concurrence_odd")
 
 
-def test_sweep_parity_flag_is_usage_error(tmp_path, capsys):
-    # no sweep quantity reads a parity: concurrence_odd/_even name theirs
-    for flag in ("odd", "even", "both"):
-        out = tmp_path / f"{flag}.csv"
-        assert main(["sweep", "--parity", flag, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "catdamp sweep: --parity applies only to figures 5 and 6\n")
-        assert not out.exists()
+# a flag the command does not declare, or a value it does not offer: no
+# figure reads a seed or an epsilon, no sweep quantity a parity
+# (concurrence_odd/_even name theirs), and a sweep has one fixed sidedness
+UNDECLARED = [
+    ["fig", "2", "--seed", "1"],
+    ["sweep", "--seed", "1"],
+    ["sweep", "--sides", "both"],
+    ["sweep", "--parity", "odd"],
+    *(["fig", str(fig), "--epsilon", "0.5"] for fig in range(1, 7)),
+]
 
 
-# (figure, flag and value, the figures that read the flag); figure 1 reads
-# none, and no figure reads --epsilon
+@pytest.mark.parametrize("argv", UNDECLARED,
+                         ids=["-".join(arg.lstrip("-") for arg in argv) for argv in UNDECLARED])
+def test_flag_the_command_does_not_declare_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not out.exists()
+
+
+# (figure, flag and value, the figures that read the flag); figure 1 reads none
 UNREAD_FLAGS = [
     *((fig, ["--parity", "even"], "figures 5 and 6") for fig in (1, 2, 3, 4)),
     (1, ["--steps", "5"], "figures 2, 3, 4, 5 and 6"),
@@ -112,7 +125,6 @@ UNREAD_FLAGS = [
     (4, ["--sides", "two"], "figure 3"),
     (5, ["--sides", "two"], "figure 3"),
     (6, ["--sides", "both"], "figure 3"),
-    *((fig, ["--epsilon", "0.5"], "sweeps") for fig in (1, 2, 3, 4, 5, 6)),
 ]
 
 
@@ -123,11 +135,6 @@ def test_fig_flag_it_does_not_read_is_usage_error(fig, flag, readers, tmp_path, 
     out = tmp_path / f"fig{fig}.csv"
     assert main(["fig", str(fig), *flag, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"catdamp fig: {flag[0]} applies only to {readers}\n"
-    # a "figure": N config takes the same path
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"figure": fig}))
-    assert main(["sweep", "--config", str(cfg), *flag, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"catdamp sweep: {flag[0]} applies only to {readers}\n"
     assert not out.exists()
 
 
@@ -159,9 +166,18 @@ def test_parity_still_selects_the_figure_branches(tmp_path, capsys):
     assert main(["fig", "5", "--parity", "odd", "--out", str(fig5)]) == 0
     assert fig5.read_text().splitlines()[0].split(",")[1:] == [
         f"cminus_m{m}_eta0.9" for m in (2, 5, 8)]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"figure": 6}))
     fig6 = tmp_path / "fig6.csv"
-    assert main(["sweep", "--config", str(cfg), "--parity", "even", "--out", str(fig6)]) == 0
+    assert main(["fig", "6", "--parity", "even", "--out", str(fig6)]) == 0
     assert fig6.read_text().splitlines()[0].split(",")[1:] == [
         f"cplus_m{m}_eta0.1" for m in (2, 5, 8)]
+
+
+def test_mmode_figures_take_every_eta(tmp_path):
+    both, first = tmp_path / "both.csv", tmp_path / "first.csv"
+    assert main(["fig", "5", "--eta", "0.5", "--eta", "0.7", "--out", str(both)]) == 0
+    assert main(["fig", "5", "--eta", "0.5", "--out", str(first)]) == 0
+    rows = [line.split(",") for line in both.read_text().splitlines()]
+    assert rows[0][1:] == [f"{branch}_m{m}_eta{eta}" for eta in (0.5, 0.7)
+                           for branch in ("cminus", "cplus") for m in (2, 5, 8)]
+    # the first eta's six columns are the single-eta figure
+    assert [",".join(row[:7]) for row in rows] == first.read_text().splitlines()

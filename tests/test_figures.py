@@ -113,3 +113,12 @@ def test_damped_concurrence_is_one_grid_call(monkeypatch, sides):
     assert rows[0][:2] == [0.0, 0.0]
     for alpha, value, *_ in rows[1:]:
         assert value == xstate_concurrence(damped_state_elements(alpha, 0.3, 1.0, sides))
+
+
+@pytest.mark.parametrize("fig,keyword,value", [
+    (1, "steps", 5), (1, "alpha_max", 2.0), (2, "modes", (3,)), (3, "parities", ("odd",)),
+    (4, "sides", ("two",)),
+])
+def test_build_figure_rejects_a_keyword_the_figure_does_not_read(fig, keyword, value):
+    with pytest.raises(ValueError, match=f"figure {fig} does not read {keyword}"):
+        build_figure(fig, **{keyword: value})
