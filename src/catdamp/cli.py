@@ -19,6 +19,15 @@ from .validation import format_table, run_validation, write_report
 USAGE_ERROR = 2
 
 
+class _Once(argparse.Action):
+    """A store that exits 2 on a repeat, where a plain one keeps the last."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} takes one value, got a second: {values!r}")
+        setattr(namespace, self.dest, values)
+
+
 # `fig` grid flags: the `build_figure` keyword each sets -> the flag and its
 # options; a figure reads the keywords that `figure_reads` lists for it
 FIG_FLAGS = {
@@ -57,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "take their defaults")
     sweep.add_argument("--alpha-max", type=float, help="upper end of the alpha axis")
     sweep.add_argument("--steps", type=int, help="number of grid points")
-    sweep.add_argument("--eta", type=float, help="fixed transmissivity")
-    sweep.add_argument("--m", type=int, help="fixed mode count")
+    sweep.add_argument("--eta", type=float, action=_Once, help="fixed transmissivity")
+    sweep.add_argument("--m", type=int, action=_Once, help="fixed mode count")
     sweep.add_argument("--sides", choices=["one", "two"],
                        help="fixed channel sidedness of the damped-state quantities")
     sweep.add_argument("--epsilon", type=float, help="vanishing threshold of the alpha_star columns")
@@ -97,9 +106,11 @@ def _fig_keywords(args) -> dict:
 def _with_flags(config: SweepConfig, args) -> SweepConfig:
     """The config with the flags given: --alpha-max, --steps, --epsilon and
     --out set its grid, threshold and output, --eta, --m and --sides its
-    fixed parameters."""
+    fixed parameters; --eta on the eta axis raises ConfigError."""
     if args.alpha_max is not None and config.axis_name != "alpha":
         raise ConfigError("--alpha-max applies only to alpha sweeps")
+    if args.eta is not None and config.axis_name == "eta":
+        raise ConfigError("--eta applies only to sweeps off the eta axis")
     overrides = {key: value for key, value in (("stop", args.alpha_max), ("steps", args.steps),
                                                ("epsilon", args.epsilon), ("out", args.out))
                  if value is not None}

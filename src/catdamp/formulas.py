@@ -4,17 +4,13 @@ together with the exact-pipeline constructions that back them.
 Conventions used throughout:
 
 * the three-mode entangled state carries the amplitude ladder
-  (sqrt(2) a, a, a); its generalization to m+1 modes carries
-  (2^{(m-1)/2} a, ..., 2^{1/2} a, a, a), so the total mean photon number of
-  the m+1-mode family is 2^m |a|^2;
+  (sqrt(2) a, a, a); its generalization to m modes carries
+  (2^{(m-2)/2} a, ..., 2^{1/2} a, a, a), 2^{m-1} |a|^2 photons in all.  m
+  counts every mode, in `mode_ladder` and in the m-mode formulas alike;
 * "odd" parity is the minus superposition (relative phase pi, maximally
   entangled), "even" the plus superposition (relative phase 0);
 * the loss channel acts on every mode except mode 0 unless stated otherwise;
   `sides="one"` damps only the last mode, `sides="two"` the last two.
-
-In the m-mode phase-flip probability and concurrence formulas the label m
-counts the *total* number of modes of the travelling state, so m = 3 is the
-three-mode ladder above.
 """
 
 from __future__ import annotations
@@ -112,9 +108,9 @@ class ChannelParams:
 # function; an array call returns an array of the broadcast shape whose
 # element i equals the float call at element i bit for bit.  One body serves
 # both: +, -, *, / and sqrt are correctly rounded, so NumPy's equal the float
-# path's in the same operation order; every exp, cos and power runs through
-# `_libm`, one libm call per element, because NumPy's own exp and cos differ
-# from libm on a few percent of arguments; and each limit is a mask.
+# path's in the same operation order; every exp, expm1, cos and power runs
+# through `_libm`, one libm call per element, because NumPy's own exp and cos
+# differ from libm on a few percent of arguments; and each limit is a mask.
 
 
 def _elementwise(fn):
@@ -176,29 +172,23 @@ def concurrence_pure(alpha: float | np.ndarray, theta: float | np.ndarray):
     return _limit_where(zero, 0.0, 1.0 - e8, den)
 
 
-@_elementwise
+def _family_terms(alpha, eta, m: int):
+    """(y, s, s_eta, t) of the m-mode family: y = 2^{m-1} alpha^2, s = 1 -
+    e^{-2y} and s_eta = 1 - e^{-2 eta y} through expm1, t = e^{-(1-eta) y}.
+    A subnormal alpha^2, too short of digits for s_eta / s, counts as 0."""
+    x = alpha * alpha
+    y = 2.0 ** (m - 1) * _limit_where(x < 2.0**-1022, 0.0, x)
+    # an exponent is 0 where eta or 1 - eta is, also at y = inf (0.0 * inf)
+    s_eta = -_libm(math.expm1, _limit_where(eta == 0.0, 0.0, -2.0 * eta * y))
+    t = _libm(math.exp, _limit_where(eta == 1.0, 0.0, -(1.0 - eta) * y))
+    return y, -_libm(math.expm1, -2.0 * y), s_eta, t
+
+
 def phase_flip_prob(alpha: float | np.ndarray, eta: float | np.ndarray):
     """Probability that two-sided loss on the three-mode state acts as a
-    logical phase flip:
-
-        p_f = (1 - e^{-8a^2} - e^{-4(1-eta)a^2} + e^{-4(1+eta)a^2})
-              / (2 (1 - e^{-8a^2}))
-
-    Vanishes at eta = 1, approaches 1/2 for large alpha.  At alpha = 0 the
-    expression is 0/0 and the value is its limit, (1 - eta)/2, as it is
-    wherever 1 - e^{-8a^2} rounds to 0 (alpha below about 2.6e-9).
-
-    alpha and eta are floats, or arrays that broadcast, whose values are the
-    float calls' bit for bit (exp one libm call per element).
-    """
-    _check_alpha(alpha)
-    _check_eta(eta)
-    x = alpha * alpha
-    em8 = _libm(math.exp, -8.0 * x)
-    # the loss exponent is 0 at eta = 1, also where x = inf makes it -0.0 * inf
-    lost = _limit_where(eta == 1.0, 0.0, -4.0 * (1.0 - eta) * x)
-    num = 1.0 - em8 - _libm(math.exp, lost) + _libm(math.exp, -4.0 * (1.0 + eta) * x)
-    return _limit_where(em8 == 1.0, (1.0 - eta) / 2.0, num, 2.0 * (1.0 - em8))
+    logical phase flip, `phase_flip_prob_m` at m = 3:
+    (1 - e^{-8a^2} - e^{-4(1-eta)a^2} + e^{-4(1+eta)a^2}) / (2 (1 - e^{-8a^2}))."""
+    return phase_flip_prob_m(alpha, eta, 3)
 
 
 @_elementwise
@@ -206,70 +196,59 @@ def phase_flip_prob_m(alpha: float | np.ndarray, eta: float | np.ndarray, m: int
     """Phase-flip probability for the m-mode travelling state,
 
         p_{f,m} = (1 - e^{-2^m a^2} - e^{-2^{m-1}(1-eta) a^2}
-                   + e^{-2^{m-1}(1+eta) a^2}) / (2 (1 - e^{-2^m a^2}))
+                   + e^{-2^{m-1}(1+eta) a^2}) / (2 (1 - e^{-2^m a^2})),
 
-    For m = 3 this reduces to `phase_flip_prob` exactly (2^3 = 8, 2^2 = 4).
-    At alpha = 0, and wherever 1 - e^{-2^m a^2} rounds to 0, the value is the
-    limit (1 - eta)/2 for every m.
+    evaluated as (s - t s_eta) / (2 s) with the terms of `_family_terms`; at
+    alpha = 0, and where alpha^2 is subnormal, it is the limit (1 - eta)/2.
 
     alpha and eta are floats, or arrays that broadcast, whose values are the
-    float calls' bit for bit (exp one libm call per element).
+    float calls' bit for bit (exp and expm1 one libm call per element).
     """
     _check_alpha(alpha)
     _check_eta(eta)
     _check_m(m)
-    x = alpha * alpha
-    em = _libm(math.exp, -(2.0**m) * x)
-    # the loss exponent is 0 at eta = 1, also where x = inf makes it -0.0 * inf
-    lost = _limit_where(eta == 1.0, 0.0, -(2.0 ** (m - 1)) * (1.0 - eta) * x)
-    num = 1.0 - em - _libm(math.exp, lost) + _libm(math.exp, -(2.0 ** (m - 1)) * (1.0 + eta) * x)
-    return _limit_where(em == 1.0, (1.0 - eta) / 2.0, num, 2.0 * (1.0 - em))
+    _, s, s_eta, t = _family_terms(alpha, eta, m)
+    return _limit_where(s == 0.0, (1.0 - eta) / 2.0, s - t * s_eta, 2.0 * s)
 
 
 @_elementwise
-def concurrence_m(
-    alpha: float | np.ndarray, eta: float | np.ndarray, m: int, parity: str
-):
-    """Concurrence of the m-mode state after loss on all travelling modes,
+def concurrence_m(alpha: float | np.ndarray, eta: float | np.ndarray, m: int, parity: str):
+    """The paper's phase-flip expression for the concurrence of the m-mode
+    state after loss on all travelling modes,
 
         C_pm = (1 - 2 p_{f,m}) / (1 pm e^{-2^{m-1}(1+eta) a^2})
                * sqrt(1 - e^{-2^m a^2}) * sqrt(1 - e^{-2^m eta a^2})
 
-    with "+" for even parity and "-" for odd.  The alpha = 0 endpoints are
-    the analytic limits: 0 for even parity and 2 eta^{3/2} / (1 + eta) for
-    odd (both independent of m).  They are also the values wherever
-    1 - e^{-2^m a^2} or the odd denominator rounds to 0.
-
-    alpha and eta are floats, or arrays that broadcast, whose values are the
-    float calls' bit for bit (exp and eta^{3/2} one libm call per element).
+    with "+" for even parity and "-" for odd, evaluated as t s_eta
+    sqrt(s_eta / s) / (1 pm e^{-(1+eta) y}) with `_family_terms` and expm1.
+    At alpha = 0, and where alpha^2 is subnormal, it is the limit: 0 for
+    even parity, and 2 eta^{3/2} / (1 + eta) for odd, which is not the exact
+    concurrence's limit sqrt(eta).  Arrays as for `phase_flip_prob_m`.
     """
     _check_choice("parity", parity, PARITIES)
     _check_m(m)
     _check_eta(eta, positive=True)
     _check_alpha(alpha)
-    x = alpha * alpha
-    g = _libm(math.exp, -(2.0 ** (m - 1)) * (1.0 + eta) * x)
-    em = _libm(math.exp, -(2.0**m) * x)
-    den = (1.0 - g) if parity == "odd" else (1.0 + g)
-    p = phase_flip_prob_m(alpha, eta, m)
-    root = _sqrt(1.0 - em) * _sqrt(1.0 - _libm(math.exp, -(2.0**m) * eta * x))
+    y, s, s_eta, t = _family_terms(alpha, eta, m)
+    d = _libm(math.expm1, -(1.0 + eta) * y)
+    den = -d if parity == "odd" else 2.0 + d
     limit = 0.0 if parity == "even" else 2.0 * _libm(lambda e: e**1.5, eta) / (1.0 + eta)
-    return _limit_where((em == 1.0) | (den == 0.0), limit, (1.0 - 2.0 * p) * root, den)
+    ratio = _limit_where(s == 0.0, eta, s_eta, s)
+    return _limit_where(s == 0.0, limit, t * s_eta * _sqrt(ratio), den)
 
 
 def mode_ladder(alpha: float, m: int) -> tuple[complex, ...]:
-    """Amplitude ladder (2^{(m-1)/2} a, ..., 2^{1/2} a, a, a) of m+1 modes;
-    m = 2 is the three-mode state's (sqrt(2) a, a, a)."""
+    """Amplitude ladder (2^{(m-2)/2} a, ..., 2^{1/2} a, a, a) of m modes,
+    2^{m-1} |a|^2 photons in all; m = 3 gives (sqrt(2) a, a, a), m = 1 (a,)."""
     _check_m(m)
-    amps = [complex(2.0 ** ((m - 1 - k) / 2.0) * alpha) for k in range(m - 1)]
-    amps += [complex(alpha), complex(alpha)]
-    return tuple(amps)
+    return tuple([complex(2.0 ** ((m - 2 - k) / 2.0) * alpha) for k in range(m - 1)]
+                 + [complex(alpha)])
 
 
 def cat_state(amps: Sequence[complex], coeff: complex) -> SuperpositionState:
     """Normalized |A> + coeff |-A> for the amplitude tuple A.  coeff = -1 is
     the odd state and +1 the even one; the three-mode state with relative
-    phase theta is `cat_state(mode_ladder(a, 2), complex(cos theta, sin theta))`.
+    phase theta is `cat_state(mode_ladder(a, 3), complex(cos theta, sin theta))`.
     A state that vanishes, such as the odd one at A = 0, raises ValueError."""
     neg = tuple(-a for a in amps)
     return normalize(SuperpositionState.from_terms([(1.0, amps), (coeff, neg)]))

@@ -6,8 +6,8 @@ A sweep is described by a JSON document:
     {
       "axis": {"name": "alpha", "start": 0.0, "stop": 4.0, "steps": 401},
       "quantities": ["concurrence_odd", "concurrence_even"],
-      "fixed": {"alpha": 1.0, "eta": 0.9, "theta": 3.141592653589793,
-                "m": 5, "sides": "one"},
+      "fixed": {"eta": 0.9, "theta": 3.141592653589793, "m": 5,
+                "sides": "one"},
       "epsilon": 0.001,
       "out": "sweep.csv"
     }
@@ -204,6 +204,9 @@ def config_from_dict(raw: dict, source: str = "<config>") -> SweepConfig:
     fixed_raw = raw.get("fixed", {})
     if not isinstance(fixed_raw, dict):
         raise ConfigError(f"{source}: fixed must be an object")
+    name = axis.get("name", "alpha")  # the axis replaces its fixed value
+    if name in AXES and name in fixed_raw:
+        raise ConfigError(f"{source}: fixed.{name} is the axis of the sweep")
     try:
         kwargs["fixed"] = replace(ChannelParams(eta=0.9, m=5), **fixed_raw)
     except (TypeError, ValueError) as exc:

@@ -8,6 +8,7 @@ always produces the same report.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -43,7 +44,6 @@ from .formulas import (
     ghz_damped_projection,
     ghz_state,
     mode_ladder,
-    phase_flip_prob,
     phase_flip_prob_m,
 )
 from .logical import (
@@ -191,11 +191,11 @@ def check_xstate_wootters_agreement(rng) -> float:
 
 
 def check_pure_concurrence_closed_form(rng) -> float:
-    # the states cat_state(mode_ladder(alpha, 2), e^{i theta}), theta-major,
+    # the states cat_state(mode_ladder(alpha, 3), e^{i theta}), theta-major,
     # as one array call
     thetas = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, 181)]
     alphas = [float(a) for a in np.linspace(0.05, 2.0, 40)]
-    ladders = np.array([mode_ladder(a, 2) for a in alphas])
+    ladders = np.array([mode_ladder(a, 3) for a in alphas])
     amps = np.tile(np.stack([ladders, -ladders], axis=1), (len(thetas), 1, 1))
     coeffs = [(1.0, complex(math.cos(t), math.sin(t))) for t in thetas for _ in alphas]
     got = _pure_concurrences(np.array(coeffs), amps, [0])
@@ -203,32 +203,36 @@ def check_pure_concurrence_closed_form(rng) -> float:
     return float(np.max(np.abs(got - want)))
 
 
-def check_phase_flip_extraction(rng) -> float:
+def _phase_flip_extraction(m: int, alphas, etas) -> float:
+    # loss eta on modes 1..m-1 of the odd m-mode state leaves the damped odd
+    # state at weight 1 - p_{f,m} and the damped even one at weight p_{f,m}
     worst = 0.0
     # e^{i pi} as cos + i sin (imaginary part 1.2e-16), not -1: the
     # report's bytes depend on it
     pi_phase = complex(math.cos(math.pi), math.sin(math.pi))
-    for alpha in ALPHA_GRID:
-        state = cat_state(mode_ladder(alpha, 2), pi_phase)
-        for eta in ETA_GRID:
-            d = apply_loss(apply_loss(state, 1, eta), 2, eta)
+    for alpha in alphas:
+        ladder = mode_ladder(alpha, m)
+        state = cat_state(ladder, pi_phase)
+        for eta in etas:
+            d = functools.reduce(lambda d, mode: apply_loss(d, mode, eta), range(1, m), state)
             # the unflipped and flipped components, at the damped amplitudes
-            damped = complex(math.sqrt(eta) * alpha)
-            amps = (complex(math.sqrt(2.0) * alpha), damped, damped)
+            amps = ladder[:1] + tuple(complex(math.sqrt(eta) * a.real) for a in ladder[1:])
             odd, even = cat_state(amps, -1.0), cat_state(amps, 1.0)
             weights, residual = mixture_weights(d, [odd, even])
-            pf = phase_flip_prob(alpha, eta)
+            pf = phase_flip_prob_m(alpha, eta, m)
             worst = max(worst, abs(weights[0] - (1.0 - pf)), abs(weights[1] - pf), residual)
     return worst
 
 
+def check_phase_flip_extraction(rng) -> float:
+    return _phase_flip_extraction(3, ALPHA_GRID, ETA_GRID)
+
+
+def check_phase_flip_extraction_m(rng) -> float:
+    return max(_phase_flip_extraction(m, (0.2, 1.1, 2.0), (0.1, 0.5, 0.9)) for m in (4, 6))
+
+
 # ------------------------------------------------------------------ formulas
-
-
-def check_phase_flip_identity_m3(rng) -> float:
-    # 10 000 (alpha, eta) pairs, drawn alpha, eta, alpha, eta, ...
-    alpha, eta = rng.uniform((0.05, 0.01), (4.0, 1.0), size=(10_000, 2)).T
-    return float(np.max(np.abs(phase_flip_prob_m(alpha, eta, 3) - phase_flip_prob(alpha, eta))))
 
 
 def check_phase_flip_gap_positive(rng) -> float:
@@ -318,6 +322,8 @@ def check_mmode_lossless_maximal(rng) -> float:
 
 
 def check_mmode_small_alpha_limits(rng) -> float:
+    # the limits of the paper's phase-flip expression: its odd one,
+    # 2 eta^{3/2} / (1 + eta), is not the exact concurrence's, sqrt(eta)
     worst = 0.0
     eta = 0.9
     target = 2.0 * eta**1.5 / (1.0 + eta)
@@ -453,8 +459,8 @@ CHECKS = (
      "theta [0, 2pi] x 181, alpha [0.05, 2] x 40"),
     ("phase_flip_extraction", check_phase_flip_extraction, 1e-10,
      "two-sided loss pipeline, alpha {0.2..2} x eta {0.1..0.9}"),
-    ("phase_flip_identity_m3", check_phase_flip_identity_m3, 1e-14,
-     "10^4 random (alpha, eta)"),
+    ("phase_flip_extraction_m", check_phase_flip_extraction_m, 1e-10,
+     "loss on modes 1..m-1, m {4, 6}, alpha {0.2, 1.1, 2} x eta {0.1, 0.5, 0.9}"),
     ("phase_flip_gap_positive", check_phase_flip_gap_positive, 0.0,
      "m {1,2,5,8}, alpha [0.05, 4] x 80, eta {0.1..0.9}"),
     ("ghz_diagonal_weight", check_ghz_diagonal_weight, 1e-10,

@@ -45,7 +45,7 @@ ETA_GRID_5 = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 def three_mode_state(alpha, theta=math.pi):
     """|A> + e^{i theta} |-A>, normalized, with A = (sqrt(2) a, a, a)."""
-    return cat_state(mode_ladder(alpha, 2), complex(math.cos(theta), math.sin(theta)))
+    return cat_state(mode_ladder(alpha, 3), complex(math.cos(theta), math.sin(theta)))
 
 
 def damped_components(alpha, eta):

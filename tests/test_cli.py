@@ -241,7 +241,7 @@ class TestValidateCommand:
         assert all(c["status"] == "pass" for c in report["checks"])
         names = [c["name"] for c in report["checks"]]
         assert "backend_equivalence" in names
-        assert "phase_flip_identity_m3" in names
+        assert "phase_flip_extraction_m" in names
         # the console table carries max_error / tolerance for every check;
         # checks that count violations have tolerance 0 and read 0 when clean
         lines = capsys.readouterr().out.splitlines()

@@ -25,9 +25,10 @@ from catdamp.logical import xstate_concurrence
 from catdamp import sweep
 from catdamp.sweep import SweepConfig, run_sweep
 
-# alpha = 0, the points where 1 - e^{-2^m a^2} rounds to 0 (1e-9) and where
-# the odd denominator does (4.5e-9 at eta = 0.01, m = 2), ordinary values,
-# and amplitudes where every exponential underflows to 0
+# alpha = 0, the points where 1 - e^{-2^m a^2} formed by subtraction would
+# round to 0 (1e-9) and where the odd denominator would (4.5e-9 at
+# eta = 0.01, m = 2), ordinary values, and amplitudes where every
+# exponential underflows to 0
 ALPHAS = np.array([0.0, 1e-9, 4.5e-9, 1e-4, 0.3, 1.0, 2.5, 4.0, 27.0, 60.0])
 ETAS = np.array([0.01, 0.1, 0.5, 0.9, 0.99, 1.0])
 THETAS = np.array([0.0, 0.5, math.pi / 2, 2.0, math.pi, 4.0, 2.0 * math.pi])
@@ -309,14 +310,3 @@ def test_run_sweep_closed_forms_equal_per_point_calls(monkeypatch, block, axis, 
             direct = 1 + list(PER_POINT).index("damped_concurrence")
             assert rows[-1][0] == 1.0 and rows[-1][direct] > 0.0
 
-
-def test_identity_m3_draws_match_the_interleaved_scalar_draws():
-    # check_phase_flip_identity_m3 draws its pairs as one (10 000, 2) array;
-    # its report bytes rest on this equality with the scalar draw order
-    for seed in (0, 7010, 42010):
-        scalar = np.random.default_rng(seed)
-        pairs = [(scalar.uniform(0.05, 4.0), scalar.uniform(0.01, 1.0)) for _ in range(10_000)]
-        batched = np.random.default_rng(seed)
-        drawn = batched.uniform((0.05, 0.01), (4.0, 1.0), size=(10_000, 2))
-        assert np.array_equal(drawn, np.array(pairs))
-        assert scalar.random() == batched.random()

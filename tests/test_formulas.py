@@ -38,8 +38,13 @@ from catdamp.logical import (
     wootters_concurrence,
     xstate_concurrence,
 )
-from catdamp.logical import pure_bipartite_concurrence
-from catdamp.validation import ALPHA_GRID, ETA_GRID
+from catdamp.logical import mixture_weights, pure_bipartite_concurrence
+from catdamp.validation import (
+    ALPHA_GRID,
+    ETA_GRID,
+    _phase_flip_extraction,
+    check_phase_flip_extraction,
+)
 
 
 class TestConcurrencePure:
@@ -124,6 +129,25 @@ class TestPhaseFlipM:
         for m in (1, 3, 8):
             assert phase_flip_prob_m(1.0, 1.0, m) == pytest.approx(0.0, abs=1e-15)
 
+    def test_extraction_at_m3_is_the_three_mode_check(self):
+        # the three-mode pipeline as phase_flip_extraction wrote it before
+        # the check took m: loss on modes 1 and 2, and phase_flip_prob
+        pi_phase = complex(math.cos(math.pi), math.sin(math.pi))
+        worst = 0.0
+        for alpha in ALPHA_GRID:
+            state = cat_state((complex(math.sqrt(2.0) * alpha), complex(alpha), complex(alpha)),
+                              pi_phase)
+            for eta in ETA_GRID:
+                d = apply_loss(apply_loss(state, 1, eta), 2, eta)
+                damped = complex(math.sqrt(eta) * alpha)
+                amps = (complex(math.sqrt(2.0) * alpha), damped, damped)
+                weights, residual = mixture_weights(d, [cat_state(amps, -1.0),
+                                                        cat_state(amps, 1.0)])
+                pf = phase_flip_prob(alpha, eta)
+                worst = max(worst, abs(weights[0] - (1.0 - pf)), abs(weights[1] - pf), residual)
+        assert _phase_flip_extraction(3, ALPHA_GRID, ETA_GRID) == worst
+        assert check_phase_flip_extraction(None) == worst
+
     def test_more_modes_saturate_sooner(self):
         # at fixed alpha the probability approaches 1/2 faster as m grows
         a = 0.8
@@ -133,18 +157,22 @@ class TestPhaseFlipM:
 
 class TestMmodeState:
     def test_ladder(self):
+        # m counts every mode, and the m modes carry 2^{m-1} a^2 photons
         a = 0.7
-        amps = mode_ladder(a, 4)
+        amps = mode_ladder(a, 5)
         assert len(amps) == 5
         assert amps[0] == pytest.approx(2 ** 1.5 * a)
         assert amps[-2] == amps[-1] == pytest.approx(a)
         total = sum(abs(x) ** 2 for x in amps)
         assert total == pytest.approx((2**4) * a * a, abs=1e-12)
+        assert mode_ladder(a, 1) == (complex(a),)
+        assert mode_ladder(a, 2) == (complex(a), complex(a))
 
-    def test_m2_is_three_mode_state(self):
+    def test_m3_is_three_mode_state(self):
         a = 0.9
-        s1 = cat_state(mode_ladder(a, 2), -1.0)
-        s2 = cat_state(mode_ladder(a, 2), complex(math.cos(math.pi), math.sin(math.pi)))
+        assert mode_ladder(a, 3) == (complex(math.sqrt(2.0) * a), a, a)
+        s1 = cat_state(mode_ladder(a, 3), -1.0)
+        s2 = cat_state(mode_ladder(a, 3), complex(math.cos(math.pi), math.sin(math.pi)))
         assert abs(state_inner(s1, s2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_normalized(self):
@@ -169,8 +197,8 @@ class TestMmodeState:
 
     def test_even_state_partially_entangled(self):
         # the plus-parity state is separable in the small-field limit
-        m = 3
-        g = lambda a: math.exp(-(2.0 ** (m + 1)) * a * a)
+        m = 4
+        g = lambda a: math.exp(-(2.0**m) * a * a)
         for a in (0.2, 0.5, 1.0):
             expected = (1 - g(a)) / (1 + g(a))
             got = pure_bipartite_concurrence(cat_state(mode_ladder(a, m), 1.0), [0])
@@ -315,7 +343,7 @@ def reference_projection(alpha, eta, theta, sides):
     number of dyads left after canonicalize."""
     lossy = (2,) if sides == "one" else (1, 2)
     d = density_from_pure(
-        cat_state(mode_ladder(alpha, 2), complex(math.cos(theta), math.sin(theta)))
+        cat_state(mode_ladder(alpha, 3), complex(math.cos(theta), math.sin(theta)))
     )
     for mode in lossy:
         d = apply_loss(d, mode, eta)

@@ -161,7 +161,7 @@ def pure_concurrence_grid():
     alphas = [float(a) for a in np.linspace(0.05, 2.0, 40)]
     points = [(t, a) for t in thetas for a in alphas]
     coeffs = np.array([(1.0, complex(math.cos(t), math.sin(t))) for t, _ in points])
-    ladders = np.array([mode_ladder(a, 2) for _, a in points])
+    ladders = np.array([mode_ladder(a, 3) for _, a in points])
     amps = np.stack([ladders, -ladders], axis=1)
     return points, coeffs, amps
 
@@ -171,7 +171,7 @@ class TestPureConcurrences:
         points, coeffs, amps = pure_concurrence_grid()
         got = _pure_concurrences(coeffs, amps, [0])
         for (theta, alpha), value in zip(points, got):
-            s = cat_state(mode_ladder(alpha, 2), complex(math.cos(theta), math.sin(theta)))
+            s = cat_state(mode_ladder(alpha, 3), complex(math.cos(theta), math.sin(theta)))
             assert abs(value - pure_bipartite_concurrence(s, [0])) < 1e-12
 
     def test_check_reads_the_grid_error(self):

@@ -31,7 +31,7 @@ from catdamp.formulas import cat_state, ghz_state, mode_ladder
 
 def three_mode_state(alpha, theta=math.pi):
     """|A> + e^{i theta} |-A>, normalized, with A = (sqrt(2) a, a, a)."""
-    return cat_state(mode_ladder(alpha, 2), complex(math.cos(theta), math.sin(theta)))
+    return cat_state(mode_ladder(alpha, 3), complex(math.cos(theta), math.sin(theta)))
 
 
 def damped_components(alpha, eta):
