@@ -23,6 +23,7 @@ from typing import Sequence
 from .coherent import (
     PRUNE_TOL,
     SuperpositionState,
+    coherent_overlap,
     normalize,
     scale,
     add,
@@ -30,8 +31,10 @@ from .coherent import (
 )
 from .logical import (
     XStateElements,
+    _libm,
     _loss_kraus,
     _sqrt,
+    _weights2,
     _x_concurrence,
     make_basis,
 )
@@ -76,8 +79,10 @@ def _check_theta(theta: float | np.ndarray) -> None:
 
 
 def _check_m(m: int) -> None:
-    if not m >= 1:
-        raise ValueError(f"m must be at least 1, got {m!r}")
+    """1 <= m <= 1024: the m-mode family forms 2^{m-1}, a finite double up
+    to m = 1024."""
+    if not 1 <= m <= 1024:
+        raise ValueError(f"m must lie in [1, 1024], got {m!r}")
 
 
 def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
@@ -128,14 +133,6 @@ def _elementwise(fn):
             return np.broadcast_to(fn(*args, **kwargs), np.broadcast_shapes(*shapes)).copy()
 
     return call
-
-
-def _libm(fn, x):
-    """fn, a one-argument function of a float, at x, or at each element of
-    an array x."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return fn(x)
 
 
 def _square(x):
@@ -286,39 +283,21 @@ _PATTERN_BITS = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1
 _PATTERN_SIGNS = (-1.0) ** _PATTERN_BITS.sum(axis=1)
 
 
-def _logical_weights(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(|a|^2, lam, mu) of `make_basis` at real amplitudes amp (G,)."""
-    sq = _square(amp)
-    lam = np.sqrt((1.0 + _libm(math.exp, -2.0 * sq)) / 2.0)
-    mu = np.sqrt(-_libm(math.expm1, -2.0 * sq) / 2.0)
-    return sq, lam, mu
+def _real_table(fn, amps: np.ndarray) -> np.ndarray:
+    """The real parts of fn(a), a tuple of complex scalars, at each real
+    amplitude a of amps (G,): a (G, len(fn(a))) array."""
+    return np.array([fn(a) for a in amps.tolist()], dtype=complex).real
 
 
-def _sign_overlaps(amp: np.ndarray) -> np.ndarray:
-    """<s a|t a> for st = +1 and st = -1 at real amplitudes amp (G,), formed
-    as `coherent_overlap` forms it: a (G, 2) array."""
-    sq = _square(amp)
-    cross = amp * amp
-    return _libm(math.exp, np.stack([-0.5 * sq - 0.5 * sq + cross,
-                                     -0.5 * sq - 0.5 * sq - cross], axis=-1))
+def _sign_overlaps(a: float) -> tuple[complex, complex]:
+    """<a|s a> for s = +1 and s = -1."""
+    return coherent_overlap(a, a), coherent_overlap(a, -a)
 
 
-def _basis_pairs(amp: np.ndarray) -> np.ndarray:
-    """(<u|s a>, <v|s a>) in the basis at real amplitude a, for s = +1 and
-    s = -1, formed as `LogicalBasis.overlaps` forms them, large-amplitude
-    branch included: a (G, 2, 2) array [g, s, u/v]."""
-    sq, lam, mu = _logical_weights(amp)
-    _reject(mu > 0.0, amp, "|v> is undefined at amplitude {!r} (mu = 0)")
-    log_env = (-0.5 * sq - 0.5 * sq)[:, None]
-    cross = np.stack([amp * amp, -(amp * amp)], axis=-1)
-    small = (np.abs(cross) < 700.0) & (log_env > -700.0)
-    env = _libm(math.exp, log_env)
-    cosh = _libm(math.cosh, np.where(small, cross, 0.0))
-    sinh = _libm(math.sinh, np.where(small, cross, 0.0))
-    plus = 0.5 * _libm(math.exp, np.where(small, 0.0, log_env + cross))
-    minus = 0.5 * _libm(math.exp, np.where(small, 0.0, log_env - cross))
-    return np.stack([np.where(small, env * cosh, plus + minus) / lam[:, None],
-                     np.where(small, env * sinh, plus - minus) / mu[:, None]], axis=-1)
+def _basis_pairs(a: float) -> tuple[complex, ...]:
+    """(<u|s a>, <v|s a>) in the basis at amplitude a, for s = +1 and -1."""
+    basis = make_basis(a)
+    return basis.overlaps(a) + basis.overlaps(-a)
 
 
 def ghz_damped_projection(
@@ -337,12 +316,14 @@ def ghz_damped_projection(
     The route runs that fixed plan as one array program: it merges the
     weights in `canonicalize`'s order and drops those below `PRUNE_TOL`,
     damps each lossy mode to sqrt(eta) a times its environment overlap,
-    projects with `LogicalBasis.overlaps`' cosh/sinh form, and sums the
-    outer products and the trace in dyad order.  Every amplitude and weight
-    is real, so it runs in real arithmetic, each exp, expm1, cosh and sinh
-    one libm call, and equals the generic composition (`ghz_state`,
-    `density_from_pure`, `canonicalize`, `apply_loss`, `project_to_qubits`)
-    bit for bit.
+    projects, and sums the outer products and the trace in dyad order.  Its
+    per-amplitude numbers are the scalar kernels' own: lam and mu from
+    `make_basis(a)`, the basis pairs from its `overlaps(+-a)` and the
+    coherent overlaps from `coherent_overlap`, one call each per grid
+    amplitude.  Every amplitude and weight is real, so the plan runs in real
+    arithmetic on their real parts, and equals the generic composition
+    (`ghz_state`, `density_from_pure`, `canonicalize`, `apply_loss`,
+    `project_to_qubits`) bit for bit.
 
     The expansion's weights grow as (2 mu)^-3, so the matrix cancels terms
     of order (2 mu)^-6: an alpha whose estimate 16 * 2^-52 * (2 mu)^-6
@@ -359,7 +340,9 @@ def ghz_damped_projection(
     _check_eta(eta, positive=True)
     with np.errstate(over="ignore", divide="ignore"):
         _reject(np.isfinite(2.0 * grid * grid), grid, "2 alpha^2 overflows at alpha = {!r}")
-        _, lam, mu = _logical_weights(grid)
+        bases = [make_basis(a) for a in grid.tolist()]
+        lam = np.array([basis.lam for basis in bases])
+        mu = np.array([basis.mu for basis in bases])
         _reject(16.0 * 2.0**-52 * (2.0 * mu) ** -6.0 <= GHZ_ROUNDING_LIMIT, grid,
                 "the GHZ dyad expansion loses more than GHZ_ROUNDING_LIMIT to rounding "
                 "at alpha = {!r}")
@@ -383,7 +366,7 @@ def ghz_damped_projection(
     def by_sign(pair: np.ndarray, mode: int) -> np.ndarray:
         return np.where(same[:, :, mode], pair[:, 0, None, None], pair[:, 1, None, None])
 
-    env = _sign_overlaps(math.sqrt(1.0 - eta) * grid)
+    env = _real_table(_sign_overlaps, math.sqrt(1.0 - eta) * grid)
     for mode in lossy:
         coeff = coeff * by_sign(env, mode)
     coeff = np.where(np.abs(coeff) >= PRUNE_TOL, coeff, 0.0)
@@ -394,10 +377,10 @@ def ghz_damped_projection(
     overlap = np.ones((g, 8, 8))
     for mode in range(3):
         amp = math.sqrt(eta) * grid if mode in lossy else grid
-        pair = _basis_pairs(amp)
+        pair = _real_table(_basis_pairs, amp).reshape(g, 2, 2)
         vec = (vec[:, :, None, :, None] * pair[:, None, :, None, :]).reshape(
             g, 2 * vec.shape[1], 2 * vec.shape[2])
-        overlap = overlap * by_sign(_sign_overlaps(amp), mode)
+        overlap = overlap * by_sign(_real_table(_sign_overlaps, amp), mode)
     traces = coeff * overlap
     terms = coeff[:, :, :, None, None] * (vec[:, :, None, :, None] * vec[:, None, :, None, :])
     real = np.zeros((g, 8, 8))
@@ -434,10 +417,8 @@ def _ghz_elements_closed(alpha, eta, sides: str):
     lost = _limit_where(eta == 1.0, -0.0, -2.0 * (1.0 - eta) * a2)
     one_minus_t = -_libm(math.expm1, lost)
     one_plus_t = 1.0 + _libm(math.exp, lost)
-    lam2 = (1.0 + _libm(math.exp, -2.0 * a2)) / 2.0
-    mu2 = -_libm(math.expm1, -2.0 * a2) / 2.0
-    lamp2 = (1.0 + _libm(math.exp, -2.0 * eta * a2)) / 2.0
-    mup2 = -_libm(math.expm1, -2.0 * eta * a2) / 2.0
+    lam2, mu2 = _weights2(2.0 * a2)
+    lamp2, mup2 = _weights2(2.0 * eta * a2)
     if sides == "one":
         cross = _sqrt(lamp2 * mup2)
         cross0 = _sqrt(lam2 * mu2)
@@ -499,47 +480,33 @@ def _damped_density(
     return mat
 
 
-def _check_ghz(alpha, eta, positive: bool = False) -> None:
-    """alpha >= 0 (> 0 if positive) with 2 alpha^2 finite, eta in (0, 1]."""
-    _check_alpha(alpha, positive)
-    _check_eta(eta, positive=True)
-    with np.errstate(over="ignore"):
-        _reject(2.0 * alpha * alpha < math.inf, alpha, "non-finite amplitude at alpha = {!r}")
-
-
 def _ghz_damped_matrices(alpha: np.ndarray, eta, sides: str) -> np.ndarray:
     """(G, 8, 8) matrices of the logical GHZ state (|uuu> + |vvv>)/sqrt(2)
     after loss, in the damped logical bases, at a 1-D array alpha and an eta
     that broadcasts with it, through `_damped_density`."""
     _check_choice("sides", sides, SIDES)
     grid, etas = np.broadcast_arrays(alpha, np.asarray(eta, dtype=float))
-    _check_ghz(grid, etas)
+    _check_alpha(grid)
+    _check_eta(etas, positive=True)
+    with np.errstate(over="ignore"):
+        _reject(2.0 * grid * grid < math.inf, grid, "non-finite amplitude at alpha = {!r}")
     psi = np.zeros((len(grid), 8), dtype=complex)
     psi[:, 0] = psi[:, 7] = 1.0
     # the 1/sqrt(2) normalisation enters as one exact factor 1/2
     return 0.5 * _damped_density(psi, np.stack([grid] * 3, axis=-1), etas, _LOSSY_MODES[sides])
 
 
-def ghz_damped_elements(
-    alpha: float, eta: float, sides: str = "one", method: str = "exact"
-) -> XStateElements:
+def ghz_damped_elements(alpha: float, eta: float, sides: str = "one") -> XStateElements:
     """X-structure elements of the damped logical GHZ matrix: diagonals at
     |uuu>, |uuv>, |vvu>, |vvv> and coherences <uuv|rho|vvu>, <uuu|rho|vvv>.
 
-    `method="exact"` applies the Kraus pair of `logical._loss_kraus` to
-    (|uuu> + |vvv>)/sqrt(2) at any alpha >= 0, as a one-point call of the
-    route behind `ghz_concurrence`; at alpha = 0 its X concurrence is
-    `ghz_concurrence_limit` to one ulp.  `method="closed"` evaluates the
-    stable closed forms (alpha > 0).
+    The Kraus pair of `logical._loss_kraus` applied to (|uuu> + |vvv>)/sqrt(2)
+    at any alpha >= 0, as a one-point call of the route behind
+    `ghz_concurrence`; at alpha = 0 its X concurrence is
+    `ghz_concurrence_limit` to one ulp.  `validate` holds it to the stable
+    closed forms of `_ghz_elements_closed`.
     """
-    _check_choice("sides", sides, SIDES)
-    if method not in ("exact", "closed"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exact":
-        return _x_elements(_ghz_damped_matrices(np.array([alpha], dtype=float), eta, sides)[0])
-    _check_ghz(alpha, eta, positive=True)
-    a, b, c, d, e, f = _ghz_elements_closed(alpha, eta, sides)
-    return XStateElements(a, b, c, d, complex(e), complex(f))
+    return _x_elements(_ghz_damped_matrices(np.array([alpha], dtype=float), eta, sides)[0])
 
 
 def ghz_concurrence(alpha, eta, sides: str = "one"):
@@ -588,8 +555,7 @@ def damped_state_projection(
     if not (np.isfinite(two_a2).all() and np.isfinite(thetas).all()):
         raise ValueError("non-finite amplitude or coefficient")
     g = len(grid)
-    lam = np.sqrt((1.0 + np.exp(-two_a2)) / 2.0)
-    mu = np.sqrt(-np.expm1(-two_a2) / 2.0)
+    lam, mu = (np.sqrt(w) for w in _weights2(two_a2))
     # |A> = (x)_k (lam_k |u> + mu_k |v>), grown mode by mode; |-A> flips the
     # sign of every mu_k, so of the entries with an odd number of v's
     branch = np.ones((g, 1))

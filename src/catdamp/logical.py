@@ -52,7 +52,7 @@ class LogicalBasis:
 
     def v_state(self) -> SuperpositionState:
         if self.mu == 0.0:
-            raise ValueError("|v> is undefined at alpha = 0 (mu = 0)")
+            raise ValueError(f"|v> is undefined at alpha = {self.alpha!r} (mu = 0)")
         c = 1.0 / (2.0 * self.mu)
         return SuperpositionState.from_terms([(c, (self.alpha,)), (-c, (-self.alpha,))])
 
@@ -66,7 +66,7 @@ class LogicalBasis:
         are formed separately; each exponent is at most 0 there.
         """
         if self.mu == 0.0:
-            raise ValueError("|v> is undefined at alpha = 0 (mu = 0)")
+            raise ValueError(f"|v> is undefined at alpha = {self.alpha!r} (mu = 0)")
         beta = complex(beta)
         cross = self.alpha.conjugate() * beta
         log_env = -0.5 * abs(self.alpha) ** 2 - 0.5 * abs(beta) ** 2
@@ -78,12 +78,25 @@ class LogicalBasis:
         return (plus + minus) / self.lam, (plus - minus) / self.mu
 
 
+def _libm(fn, x):
+    """fn, a one-argument function of a float, at x, or at each element of
+    an array x."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return fn(x)
+
+
+def _weights2(two_a2):
+    """(lam^2, mu^2) of the logical basis at 2|a|^2 = two_a2, a float or an
+    array: (1 + e^{-two_a2}) / 2 and -expm1(-two_a2) / 2, each exponential
+    one libm call per element.  expm1 keeps full relative precision in mu^2
+    for small amplitudes.  Every writer of lam and mu goes through here."""
+    return (1.0 + _libm(math.exp, -two_a2)) / 2.0, -_libm(math.expm1, -two_a2) / 2.0
+
+
 def make_basis(alpha: complex) -> LogicalBasis:
-    two_a2 = 2.0 * abs(alpha) ** 2
-    lam = math.sqrt((1.0 + math.exp(-two_a2)) / 2.0)
-    # -expm1 keeps full relative precision in mu for small amplitudes
-    mu = math.sqrt(-math.expm1(-two_a2) / 2.0)
-    return LogicalBasis(complex(alpha), lam, mu)
+    lam2, mu2 = _weights2(2.0 * abs(alpha) ** 2)
+    return LogicalBasis(complex(alpha), math.sqrt(lam2), math.sqrt(mu2))
 
 
 def _loss_kraus(amp: np.ndarray, eta: float | np.ndarray) -> np.ndarray:
@@ -98,30 +111,29 @@ def _loss_kraus(amp: np.ndarray, eta: float | np.ndarray) -> np.ndarray:
         K1 = [[0, lam_b mu_c / mu_a], [mu_b mu_c / lam_a, 0]]
 
     for the environment ending in its |u> or |v>.  K1 swaps u and v: it is
-    the phase flip.  Each mu^2 comes from expm1, so the mu ratios keep full
-    relative precision; at a = 0 (2 a^2 <= 1e-300) they take their limits,
+    the phase flip.  The weights come from `_weights2`, one call each at
+    2 a^2, eta 2 a^2 and (1 - eta) 2 a^2, the values of 2|.|^2 at a, b and
+    c; each mu^2 comes from expm1, so the mu ratios keep full relative
+    precision.  At a = 0 (2 a^2 <= 1e-300) they take their limits,
     K0 = diag(1, sqrt(eta)) and K1 = sqrt(1 - eta) |u><v|.  No factor
     exceeds 1, so nothing overflows.
     """
     two_a2 = 2.0 * np.asarray(amp, dtype=float) ** 2
+    lam2_a, mu2_a = _weights2(two_a2)
+    lam2_b, mu2_b = _weights2(eta * two_a2)
+    lam2_c, mu2_c = _weights2((1.0 - eta) * two_a2)
+    lam_a, lam_b, lam_c = np.sqrt(lam2_a), np.sqrt(lam2_b), np.sqrt(lam2_c)
 
-    def lam(frac) -> np.ndarray:
-        return np.sqrt((1.0 + np.exp(-frac * two_a2)) / 2.0)
-
-    def mu2(frac) -> np.ndarray:
-        return -np.expm1(-frac * two_a2) / 2.0
-
-    def mu_over_mu_a(frac) -> np.ndarray:
+    def mu_over_mu_a(frac, mu2) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = mu2(frac) / mu2(1.0)
+            ratio = mu2 / mu2_a
         return np.sqrt(np.where(two_a2 <= 1e-300, frac, ratio))
 
-    lam_a, lam_b, lam_c = lam(1.0), lam(eta), lam(1.0 - eta)
     kraus = np.zeros(two_a2.shape + (2, 2, 2))
     kraus[:, 0, 0, 0] = lam_b * lam_c / lam_a
-    kraus[:, 0, 1, 1] = mu_over_mu_a(eta) * lam_c
-    kraus[:, 1, 0, 1] = lam_b * mu_over_mu_a(1.0 - eta)
-    kraus[:, 1, 1, 0] = np.sqrt(mu2(eta)) * np.sqrt(mu2(1.0 - eta)) / lam_a
+    kraus[:, 0, 1, 1] = mu_over_mu_a(eta, mu2_b) * lam_c
+    kraus[:, 1, 0, 1] = lam_b * mu_over_mu_a(1.0 - eta, mu2_c)
+    kraus[:, 1, 1, 0] = np.sqrt(mu2_b) * np.sqrt(mu2_c) / lam_a
     return kraus
 
 

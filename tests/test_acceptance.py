@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 from scipy.optimize import brentq
 
@@ -120,13 +121,20 @@ def test_criterion_03_phase_flip_limits():
 
 def test_criterion_04_mode_count_identity():
     with Criterion(4, "three-mode identity of the m-mode phase-flip formula", 1):
+        # the paper's three-mode expression, in 50-digit arithmetic
         rng = np.random.default_rng(1234)
         worst = 0.0
-        for _ in range(10_000):
+        for _ in range(200):
             alpha = float(rng.uniform(0.05, 4.0))
             eta = float(rng.uniform(0.01, 1.0))
-            worst = max(worst, abs(phase_flip_prob_m(alpha, eta, 3) - phase_flip_prob(alpha, eta)))
-        assert worst < 1e-14
+            with mpmath.workdps(50):
+                a2, e = mpmath.mpf(alpha) ** 2, mpmath.mpf(eta)
+                e8 = mpmath.exp(-8 * a2)
+                want = (1 - e8 - mpmath.exp(-4 * (1 - e) * a2)
+                        + mpmath.exp(-4 * (1 + e) * a2)) / (2 * (1 - e8))
+            for got in (phase_flip_prob_m(alpha, eta, 3), phase_flip_prob(alpha, eta)):
+                worst = max(worst, float(abs(got - want)))
+        assert worst < 1e-15
 
 
 def test_criterion_05_xstate_closed_form():

@@ -249,6 +249,18 @@ def test_repeated_sweep_flag_is_usage_error(flag, values, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["sweep"], ["fig", "4"]], ids=["sweep", "fig"])
+@pytest.mark.parametrize("m", ["1025", "2000"])
+def test_m_beyond_1024_is_usage_error(command, m, tmp_path, capsys):
+    # 2^{m-1} overflows a double from m = 1025 on; it once escaped as a bare
+    # "(34, 'Numerical result out of range')"
+    out = tmp_path / "s.csv"
+    assert main(command + ["--m", m, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"m must lie in [1, 1024], got {m}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("axis", ["alpha", "eta", "theta"])
 def test_fixed_value_of_the_axis_parameter_is_usage_error(axis, tmp_path, capsys):
     # the axis would replace it at every point

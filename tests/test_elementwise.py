@@ -12,6 +12,7 @@ import pytest
 from catdamp.figures import write_csv
 from catdamp.formulas import (
     ChannelParams,
+    _ghz_elements_closed,
     concurrence_m,
     concurrence_pure,
     damped_concurrence_bound,
@@ -21,7 +22,7 @@ from catdamp.formulas import (
     phase_flip_prob,
     phase_flip_prob_m,
 )
-from catdamp.logical import xstate_concurrence
+from catdamp.logical import XStateElements, xstate_concurrence
 from catdamp import sweep
 from catdamp.sweep import SweepConfig, run_sweep
 
@@ -262,10 +263,11 @@ def test_write_csv_matches_the_reference_on_a_sweep(tmp_path):
 
 
 def _bound(a, e, t, p):
-    """fig 3's bound as the product of the public one-point calls."""
+    """fig 3's bound as the product of one-point calls: the X concurrence
+    of the GHZ closed forms and `concurrence_pure`."""
     if a == 0.0:
         return ghz_concurrence_limit(e, p.sides) * (1.0 if math.cos(t) == -1.0 else 0.0)
-    ghz = xstate_concurrence(ghz_damped_elements(a, e, p.sides, method="closed"))
+    ghz = xstate_concurrence(XStateElements(*_ghz_elements_closed(a, e, p.sides)))
     return ghz * concurrence_pure(a, t)
 
 

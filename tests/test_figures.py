@@ -11,15 +11,15 @@ from catdamp import formulas
 from catdamp.figures import build_figure
 from catdamp.formulas import (
     ChannelParams,
+    _ghz_elements_closed,
     concurrence_m,
     concurrence_pure,
     damped_state_elements,
     ghz_concurrence_limit,
-    ghz_damped_elements,
     phase_flip_prob,
     phase_flip_prob_m,
 )
-from catdamp.logical import xstate_concurrence
+from catdamp.logical import XStateElements, xstate_concurrence
 from catdamp.sweep import SweepConfig, run_sweep
 
 ALPHAS = [float(a) for a in np.linspace(0.0, 4.0, 401)]
@@ -30,7 +30,7 @@ def bound(alpha, eta, sides):
     # concurrence; at alpha = 0 the factor's limit times the pure limit, 1
     if alpha == 0.0:
         return ghz_concurrence_limit(eta, sides)
-    factor = xstate_concurrence(ghz_damped_elements(alpha, eta, sides, method="closed"))
+    factor = xstate_concurrence(XStateElements(*_ghz_elements_closed(alpha, eta, sides)))
     return factor * concurrence_pure(alpha, math.pi)
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +17,10 @@ from catdamp.sweep import SweepConfig, run_sweep
 from catdamp.formulas import (
     SIDES,
     ChannelParams,
+    _LOSSY_MODES,
+    _PATTERN_SIGNS,
+    _damped_density,
+    _ghz_elements_closed,
     _x_elements,
     cat_state,
     concurrence_m,
@@ -32,6 +37,7 @@ from catdamp.formulas import (
     phase_flip_prob_m,
 )
 from catdamp.logical import (
+    XStateElements,
     _loss_kraus,
     make_basis,
     project_to_qubits,
@@ -113,17 +119,39 @@ class TestPhaseFlip:
             assert 1.0 - phase_flip_prob(a, eta) == pytest.approx(survive, abs=1e-13)
 
 
+def phase_flip_m3_mpmath(alpha, eta):
+    """The three-mode phase-flip probability as the paper writes it, in
+    50-digit arithmetic."""
+    with mpmath.workdps(50):
+        a2, eta = mpmath.mpf(alpha) ** 2, mpmath.mpf(eta)
+        e8 = mpmath.exp(-8 * a2)
+        return (1 - e8 - mpmath.exp(-4 * (1 - eta) * a2)
+                + mpmath.exp(-4 * (1 + eta) * a2)) / (2 * (1 - e8))
+
+
 class TestPhaseFlipM:
     def test_matches_three_mode_exactly(self):
         rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(10_000):
-            a = rng.uniform(0.05, 4.0)
-            eta = rng.uniform(0.01, 1.0)
-            worst = max(
-                worst, abs(phase_flip_prob_m(a, eta, 3) - phase_flip_prob(a, eta))
-            )
-        assert worst < 1e-14
+        for _ in range(200):
+            a = float(rng.uniform(0.05, 4.0))
+            eta = float(rng.uniform(0.01, 1.0))
+            want = phase_flip_m3_mpmath(a, eta)
+            for got in (phase_flip_prob(a, eta), phase_flip_prob_m(a, eta, 3)):
+                assert abs(got - want) < 1e-15, (a, eta)
+
+    @pytest.mark.parametrize("call", (
+        lambda m: phase_flip_prob_m(0.5, 0.5, m),
+        lambda m: concurrence_m(0.5, 0.5, m, "odd"),
+        lambda m: mode_ladder(0.5, m),
+        lambda m: ChannelParams(m=m),
+    ))
+    def test_m_above_1024_is_rejected(self, call):
+        # 2^{m-1} is a finite double up to m = 1024; 1025 once raised a raw
+        # OverflowError
+        call(1024)
+        for m in (1025, 2000):
+            with pytest.raises(ValueError, match=rf"m must lie in \[1, 1024\], got {m}"):
+                call(m)
 
     def test_lossless(self):
         for m in (1, 3, 8):
@@ -311,7 +339,7 @@ class TestGhzPipeline:
             for a in (0.2, 0.5, 1.0, 2.0):
                 for eta in (0.1, 0.5, 0.9):
                     p = _x_elements(ghz_damped_projection(a, eta, sides)[0])
-                    c = ghz_damped_elements(a, eta, sides, method="closed")
+                    c = XStateElements(*_ghz_elements_closed(a, eta, sides))
                     for name in ("a", "b", "c", "d", "e", "f"):
                         assert abs(getattr(p, name) - getattr(c, name)) < 1e-11
 
@@ -548,9 +576,60 @@ def superoperator(kraus):
     return sum(np.kron(k, k) for k in kraus)
 
 
+def libm_weights2(two_a2):
+    """(lam^2, mu^2) at 2|a|^2 = two_a2 from math.exp and math.expm1."""
+    return (1.0 + math.exp(-two_a2)) / 2.0, -math.expm1(-two_a2) / 2.0
+
+
+def kraus_per_element(a, eta):
+    """`_loss_kraus` at one amplitude, written out with scalar libm calls."""
+    two_a2 = 2.0 * (a * a)
+    (lam2_a, mu2_a), (lam2_b, mu2_b), (lam2_c, mu2_c) = (
+        libm_weights2(frac * two_a2) for frac in (1.0, eta, 1.0 - eta))
+    lam_a, lam_b, lam_c = math.sqrt(lam2_a), math.sqrt(lam2_b), math.sqrt(lam2_c)
+
+    def mu_over_mu_a(frac, mu2):
+        return math.sqrt(frac if two_a2 <= 1e-300 else mu2 / mu2_a)
+
+    return np.array([[[lam_b * lam_c / lam_a, 0.0], [0.0, mu_over_mu_a(eta, mu2_b) * lam_c]],
+                     [[0.0, lam_b * mu_over_mu_a(1.0 - eta, mu2_c)],
+                      [math.sqrt(mu2_b) * math.sqrt(mu2_c) / lam_a, 0.0]]])
+
+
+def damped_state_per_element(alpha, eta, theta, sides):
+    """`damped_state_projection`'s matrix at one point, its logical weights
+    from scalar libm calls."""
+    amps = np.array([[math.sqrt(2.0) * alpha, alpha, alpha]])
+    branch = np.ones(1)
+    for a in amps[0].tolist():
+        lam2, mu2 = libm_weights2(2.0 * (a * a))
+        branch = (branch[:, None] * np.array([math.sqrt(lam2), math.sqrt(mu2)])).ravel()
+    psi = branch * (1.0 + complex(math.cos(theta), math.sin(theta)) * _PATTERN_SIGNS)
+    psi = psi / math.sqrt(np.sum(psi.real**2 + psi.imag**2))
+    return _damped_density(psi[None, :], amps, eta, _LOSSY_MODES[sides])[0]
+
+
+ONE_EXP_ALPHAS = np.linspace(0.0, 6.0, 1000)
+
+
 class TestKrausRoute:
     """Loss as the logical-qubit Kraus pair of `_loss_kraus`: the exact route
     behind `ghz_damped_elements` and `damped_state_projection`."""
+
+    @pytest.mark.parametrize("eta", (0.05, 0.37, 0.9))
+    def test_weights_are_libm_per_element(self, eta):
+        # NumPy's exp and expm1 differ from libm in the last bit on a few
+        # arguments in a thousand
+        kraus = _loss_kraus(ONE_EXP_ALPHAS, eta)
+        for alpha, k in zip(ONE_EXP_ALPHAS.tolist(), kraus):
+            assert np.array_equal(k, kraus_per_element(alpha, eta)), alpha
+
+    @pytest.mark.parametrize("theta", (math.pi, 1.0))
+    def test_damped_state_weights_are_libm_per_element(self, theta):
+        alphas = ONE_EXP_ALPHAS[1:]
+        mats, _ = damped_state_projection(alphas, 0.37, theta, "two")
+        for alpha, mat in zip(alphas.tolist(), mats):
+            assert np.array_equal(mat, damped_state_per_element(alpha, 0.37, theta, "two")), alpha
 
     @pytest.mark.parametrize("alpha", (0.0, 1e-8, 1.0, 27.0, 200.0))
     def test_completeness(self, alpha):
@@ -592,7 +671,7 @@ class TestKrausRoute:
         for alpha in np.geomspace(1e-4, 0.19, 40):
             for eta in (0.05, 0.3, 0.5, 0.9, 1.0):
                 x = ghz_damped_elements(float(alpha), eta, sides)
-                c = ghz_damped_elements(float(alpha), eta, sides, method="closed")
+                c = XStateElements(*_ghz_elements_closed(float(alpha), eta, sides))
                 for name in ("a", "b", "c", "d", "e", "f"):
                     assert abs(getattr(x, name) - getattr(c, name)) <= 1e-15, (alpha, eta)
 
@@ -626,15 +705,14 @@ class TestKrausRoute:
         assert all(row[i] == 0.0 for row in rows for i in direct)
 
     def test_removed_methods_and_bad_amplitudes_rejected(self):
-        for method in ("auto", "pipeline"):
-            with pytest.raises(ValueError, match="unknown method"):
+        # the Kraus route is the only one; the closed forms are private
+        for method in ("exact", "closed"):
+            with pytest.raises(TypeError, match="method"):
                 ghz_damped_elements(1.0, 0.5, "one", method=method)
         with pytest.raises(ValueError, match="nonnegative"):
             ghz_damped_elements(-0.1, 0.5)
         with pytest.raises(ValueError, match="non-finite"):
             ghz_damped_elements(1e200, 0.5)
-        with pytest.raises(ValueError, match="positive"):
-            ghz_damped_elements(0.0, 0.5, method="closed")
 
 
 class TestBound:
