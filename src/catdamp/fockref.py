@@ -1,14 +1,14 @@
 """Truncated Fock-space reference backend.
 
-Everything here recomputes channel dynamics with dense number-basis matrices
-and Kraus operators.  It exists purely to cross-check the exact
+Everything here recomputes channel dynamics with number-basis vectors and
+Kraus operators.  It exists purely to cross-check the exact
 coherent-superposition backend and is never on the primary computation path.
 
-A channel on one mode of d levels takes Kraus operators that each lie on one
-superdiagonal, as photon loss and the identity do.  `apply_channel` then acts
-band by band on the mode's (ket, bra) index pair: O(d^3 R) work for a density
-whose other modes span R (ket, bra) entries, against O(d^4 R) for a d^2 x d^2
-superoperator.
+A density is stored as N ket-bra vector pairs, rho = sum_n |ket_n><bra_n|:
+the coherent backend's dyad list written in Fock space.  A channel maps each
+pair (k, b) to the pairs (K k, K b), one per Kraus operator K, so no d^2 x d^2
+superoperator and no dense matrix is formed; the dense matrix exists only
+when a check reads `FockDensity.mat`.
 """
 
 from __future__ import annotations
@@ -69,130 +69,76 @@ def damping_kraus(eta: float, n_max: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class FockDensity:
-    """Dense density matrix over a product of truncated Fock spaces."""
+    """Density sum_n |kets[n]><bras[n]| over a product of truncated Fock
+    spaces; kets and bras are (N, prod(dims)) arrays."""
 
     dims: tuple[int, ...]
-    mat: np.ndarray
+    kets: np.ndarray
+    bras: np.ndarray
 
     def __post_init__(self):
         total = int(np.prod(self.dims))
-        if self.mat.shape != (total, total):
-            raise ValueError(f"matrix shape {self.mat.shape} != ({total}, {total})")
+        if self.kets.shape != self.bras.shape or self.kets.shape[1:] != (total,):
+            raise ValueError(f"kets and bras must both be (N, {total}) arrays")
         if total * total > MAX_MATRIX_ENTRIES:
             raise ValueError("product space too large for the dense reference backend")
 
+    @property
+    def mat(self) -> np.ndarray:
+        """The dense (prod(dims), prod(dims)) matrix."""
+        return self.kets.T @ self.bras.conj()
+
+
+def _product_vectors(coeffs, amps, modes: int, n_max: int) -> np.ndarray:
+    """Rows coeffs[i] * kron_m coherent_fock(amps[i][m], n_max), shape
+    (len(coeffs), (n_max + 1)^modes)."""
+    dim = n_max + 1
+    amps = np.array(amps, dtype=complex).reshape(len(coeffs), modes)
+    fock = {a: coherent_fock(a, n_max) for a in set(amps.ravel().tolist())}
+    out = np.array(coeffs, dtype=complex).reshape(-1, 1)
+    for column in amps.T:
+        factor = np.array([fock[a] for a in column.tolist()], dtype=complex).reshape(-1, dim)
+        out = (out[:, :, None] * factor[:, None, :]).reshape(-1, out.shape[1] * dim)
+    return out
+
 
 def fock_density_from_vector(vec: np.ndarray, dims: Sequence[int]) -> FockDensity:
-    return FockDensity(tuple(dims), np.outer(vec, vec.conj()))
+    return FockDensity(tuple(dims), vec[None, :], vec[None, :])
 
 
 def state_to_fock(s: SuperpositionState, n_max: int) -> np.ndarray:
     """Product-space vector of a coherent superposition at truncation n_max."""
-    dim = n_max + 1
-    vec = np.zeros(dim**s.mode_count, dtype=complex)
-    for t in s.terms:
-        comp = np.array([t.coeff], dtype=complex)
-        for a in t.amps:
-            comp = np.kron(comp, coherent_fock(a, n_max))
-        vec += comp
-    return vec
+    coeffs, amps = [t.coeff for t in s.terms], [t.amps for t in s.terms]
+    return _product_vectors(coeffs, amps, s.mode_count, n_max).sum(axis=0)
 
 
 def density_to_fock(d: SuperpositionDensity, n_max: int) -> FockDensity:
-    """Product-space matrix of a coherent-dyad density at truncation n_max."""
-    dim = n_max + 1
-    dims = (dim,) * d.mode_count
-    total = dim**d.mode_count
-    if total * total > MAX_MATRIX_ENTRIES:
-        raise ValueError("product space too large for the dense reference backend")
-    mat = np.zeros((total, total), dtype=complex)
-    one = np.array([1.0 + 0j])
-    for dy in d.dyads:
-        ket = one
-        bra = one
-        for a in dy.ket:
-            ket = np.kron(ket, coherent_fock(a, n_max))
-        for a in dy.bra:
-            bra = np.kron(bra, coherent_fock(a, n_max))
-        mat += dy.coeff * np.outer(ket, bra.conj())
-    return FockDensity(dims, mat)
-
-
-def _superdiagonals(kraus: Iterable[np.ndarray], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets k (n_ops,) and entries c (n_ops, d) of Kraus operators that each
-    lie on one superdiagonal: op[n - k, n] = c[op, n], with c = 0 for n < k.
-    All-zero operators are dropped; any other operator raises ValueError."""
-    offsets, entries = [], []
-    for i, op in enumerate(kraus):
-        op = np.asarray(op)
-        if op.shape != (d, d):
-            raise ValueError("Kraus operator dimension mismatch")
-        rows, cols = np.nonzero(op)
-        if rows.size == 0:
-            continue
-        k = cols[0] - rows[0]
-        if k < 0 or np.any(cols - rows != k):
-            raise ValueError(f"Kraus operator {i} does not lie on one superdiagonal")
-        c = np.zeros(d, dtype=complex)
-        c[k:] = np.diagonal(op, k)
-        offsets.append(k)
-        entries.append(c)
-    return np.array(offsets, dtype=int), np.array(entries, dtype=complex).reshape(-1, d)
+    """Ket-bra pairs of a coherent-dyad density at truncation n_max, with the
+    dyad coefficients on the kets."""
+    dyads, m = d.dyads, d.mode_count
+    kets = _product_vectors([dy.coeff for dy in dyads], [dy.ket for dy in dyads], m, n_max)
+    bras = _product_vectors([1.0] * len(dyads), [dy.bra for dy in dyads], m, n_max)
+    return FockDensity((n_max + 1,) * m, kets, bras)
 
 
 def apply_channel(rho: FockDensity, mode: int, kraus: Iterable[np.ndarray]) -> FockDensity:
-    """sum_k K_k rho K_k^dag with the operators acting on a single mode.
-
-    Each operator must lie on one superdiagonal k (the identity and every
-    `damping_kraus` operator do), with entries c(n) = K[n - k, n]; any other
-    operator raises ValueError.  Then
-
-        rho'[i, j] = sum_k c(i + k) conj(c(j + k)) rho[i + k, j + k]
-
-    over the mode's (ket, bra) pair, so each band j - i = delta maps onto
-    itself through one upper-triangular L x L matrix, L = d - |delta|.  The
-    2d - 1 bands are 2d - 1 small products (L x L)(L x R), R the size of the
-    rest of the (ket, bra) space: O(d^3 R) work, written into one output
-    matrix, with no d^2 x d^2 superoperator and no transposed copy of rho.
-    """
+    """sum_k K_k rho K_k^dag with the operators acting on a single mode: each
+    pair (ket, bra) becomes the pairs (K_k ket, K_k bra), operator-major."""
     dims = rho.dims
     if not 0 <= mode < len(dims):
         raise ValueError(f"mode {mode} out of range")
     d = dims[mode]
-    k, c = _superdiagonals(kraus, d)
-    by_offset = (k == np.arange(d)[:, None]).astype(float)  # (d, n_ops)
+    ops = [np.asarray(op) for op in kraus]
+    if any(op.shape != (d, d) for op in ops):
+        raise ValueError("Kraus operator dimension mismatch")
+    ops = np.array(ops, dtype=complex).reshape(-1, d, d)
     before, after = int(np.prod(dims[:mode])), int(np.prod(dims[mode + 1:]))
-    src = rho.mat.reshape(before, d, after, before, d, after)
-    out = np.empty(rho.mat.shape, dtype=complex)
-    dst = out.reshape(src.shape)
-    for delta in range(1 - d, d):
-        size = d - abs(delta)
-        p = np.arange(size)
-        ket, bra = p + max(0, -delta), p + max(0, delta)
-        # weight[k, q]: the offset-k operators' c(ket_q) conj(c(bra_q))
-        weight = by_offset @ (c[:, ket] * c[:, bra].conj())
-        shift = p - p[:, None]
-        band_map = np.where(shift >= 0, weight[np.maximum(shift, 0), p], 0.0)
-        band = src[:, ket, :, :, bra, :]  # (size, before, after, before, after)
-        dst[:, ket, :, :, bra, :] = (band_map @ band.reshape(size, -1)).reshape(band.shape)
-    return FockDensity(dims, out)
 
+    def act(vectors):
+        v = vectors.reshape(len(vectors), before, d, after)
+        return np.einsum("kij,nbja->knbia", ops, v).reshape(-1, vectors.shape[1])
 
-def partial_trace_fock(rho: FockDensity, traced_modes: Iterable[int]) -> FockDensity:
-    """Trace out the given modes of a product-space density."""
-    traced = sorted(set(traced_modes))
-    n = len(rho.dims)
-    for k in traced:
-        if not 0 <= k < n:
-            raise ValueError(f"mode {k} out of range")
-    if len(traced) >= n:
-        raise ValueError("cannot trace out every mode")
-    tens = rho.mat.reshape(*rho.dims, *rho.dims)
-    for k in reversed(traced):
-        tens = np.trace(tens, axis1=k, axis2=k + tens.ndim // 2)
-    keep = tuple(d for i, d in enumerate(rho.dims) if i not in traced)
-    total = int(np.prod(keep))
-    return FockDensity(keep, tens.reshape(total, total))
+    return FockDensity(dims, act(rho.kets), act(rho.bras))
 
 
 def kraus_completeness_defect(kraus: Sequence[np.ndarray]) -> float:

@@ -238,19 +238,22 @@ _SPIN_FLIP = np.array(
 
 
 def wootters_concurrence(rho: np.ndarray) -> float:
-    """Two-qubit mixed-state concurrence from the spin-flip spectrum."""
+    """Two-qubit mixed-state concurrence (Wootters 1998): with rho = V V^dag
+    from one eigendecomposition, max(0, s1 - s2 - s3 - s4) over the singular
+    values of tau = V^T (sigma_y x sigma_y) V.  These are the square roots of
+    the eigenvalues of rho rho~, found without taking a square root of a
+    rounded zero."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("expected a 4x4 density matrix")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
         raise ValueError("density matrix must be Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -PSD_TOL:
+    evals, vecs = np.linalg.eigh(rho)
+    if evals.min() < -PSD_TOL:
         raise ValueError("density matrix must be positive semidefinite")
-    flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    evals = np.linalg.eigvals(rho @ flipped)
-    evals = np.sort(np.clip(evals.real, 0.0, None))[::-1]
-    roots = np.sqrt(evals)
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    v = vecs * np.sqrt(np.clip(evals, 0.0, None))
+    s = np.linalg.svd(v.T @ _SPIN_FLIP @ v, compute_uv=False)
+    return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
 
 
 def xstate_concurrence(x: XStateElements) -> float:

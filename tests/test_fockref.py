@@ -6,11 +6,10 @@ import pytest
 from catdamp.coherent import (
     SuperpositionState,
     apply_loss,
+    canonicalize,
     coherent_overlap,
     density_from_pure,
     normalize,
-    partial_trace,
-    density_purity,
 )
 from catdamp.fockref import (
     FockDensity,
@@ -20,7 +19,6 @@ from catdamp.fockref import (
     density_to_fock,
     fock_density_from_vector,
     kraus_completeness_defect,
-    partial_trace_fock,
     required_levels,
     state_to_fock,
 )
@@ -99,13 +97,13 @@ class TestApplyChannel:
     def test_identity_kraus(self):
         rng = np.random.default_rng(7)
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        rho = FockDensity((6,), m @ m.conj().T / np.trace(m @ m.conj().T).real)
+        m /= np.linalg.norm(m)
+        rho = FockDensity((6,), m.T, m.T)
         out = apply_channel(rho, 0, [np.eye(6, dtype=complex)])
-        assert np.allclose(out.mat, rho.mat)
+        assert np.allclose(out.mat, m @ m.conj().T)
 
     def test_vacuum_fixed_point(self):
-        rho = FockDensity((8,), np.zeros((8, 8), dtype=complex))
-        rho.mat[0, 0] = 1.0
+        rho = fock_density_from_vector(np.eye(8, dtype=complex)[0], (8,))
         out = apply_channel(rho, 0, damping_kraus(0.3, 7))
         assert out.mat[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert np.trace(out.mat).real == pytest.approx(1.0, abs=1e-12)
@@ -133,28 +131,55 @@ class TestApplyChannel:
         assert np.max(np.abs(out.mat - out.mat.conj().T)) < 1e-10
 
 
-class TestPartialTraceFock:
-    def test_product_state(self):
-        n = required_levels(0.9)
-        v1 = coherent_fock(0.4, n)
-        v2 = coherent_fock(-0.9, n)
-        rho = fock_density_from_vector(np.kron(v1, v2), (n + 1, n + 1))
-        red = partial_trace_fock(rho, [1])
-        assert np.max(np.abs(red.mat - np.outer(v1, v1.conj()))) < 1e-10
+def kron_state_to_fock(s, n_max):
+    """The per-term `np.kron` chain that `state_to_fock` replaced."""
+    vec = np.zeros((n_max + 1) ** s.mode_count, dtype=complex)
+    for t in s.terms:
+        comp = np.array([t.coeff], dtype=complex)
+        for a in t.amps:
+            comp = np.kron(comp, coherent_fock(a, n_max))
+        vec += comp
+    return vec
 
-    def test_reduced_purity_matches_exact_backend(self):
-        a = 0.8
-        s = cat_state(a, -1.0, modes=2)
-        exact = density_purity(partial_trace(density_from_pure(s), [1]))
-        n = required_levels(a)
-        rho = fock_density_from_vector(state_to_fock(s, n), (n + 1, n + 1))
-        red = partial_trace_fock(rho, [1])
-        assert np.trace(red.mat @ red.mat).real == pytest.approx(exact, abs=1e-8)
 
-    def test_rejects_full_trace(self):
-        rho = fock_density_from_vector(coherent_fock(0.2, 12), (13,))
-        with pytest.raises(ValueError):
-            partial_trace_fock(rho, [0])
+def kron_density_to_fock(d, n_max):
+    """The per-dyad `np.kron` chains and dense `np.outer` sum that
+    `density_to_fock` replaced."""
+    total = (n_max + 1) ** d.mode_count
+    mat = np.zeros((total, total), dtype=complex)
+    one = np.array([1.0 + 0j])
+    for dy in d.dyads:
+        ket = one
+        bra = one
+        for a in dy.ket:
+            ket = np.kron(ket, coherent_fock(a, n_max))
+        for a in dy.bra:
+            bra = np.kron(bra, coherent_fock(a, n_max))
+        mat += dy.coeff * np.outer(ket, bra.conj())
+    return mat
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestFockDensity:
+    def test_pair_shapes_must_match(self):
+        kets = np.zeros((2, 9), dtype=complex)
+        with pytest.raises(ValueError, match="must both be"):
+            FockDensity((3, 3), kets, np.zeros((3, 9), dtype=complex))
+        with pytest.raises(ValueError, match="must both be"):
+            FockDensity((3, 3), kets, np.zeros((2, 8), dtype=complex))
+        with pytest.raises(ValueError, match="must both be"):
+            FockDensity((3, 3), kets[0], kets[0])
+
+    def test_zero_dyads_give_the_zero_matrix(self):
+        # canonicalize prunes every dyad whose weight is below its tolerance
+        d = canonicalize(density_from_pure(cat_state(0.5, -1.0)), tol=10.0)
+        assert d.dyads == ()
+        rho = apply_channel(density_to_fock(d, 12), 1, damping_kraus(0.5, 12))
+        assert rho.kets.shape == (0, 169)
+        assert np.array_equal(rho.mat, np.zeros((169, 169)))
 
 
 class TestCrossBackend:
@@ -163,20 +188,25 @@ class TestCrossBackend:
     def test_two_mode_cat_loss(self, alpha, eta):
         s = cat_state(alpha, -1.0, modes=2)
         n = required_levels(alpha)
-        via_exact = density_to_fock(apply_loss(s, 1, eta), n)
+        damped = apply_loss(s, 1, eta)
+        via_exact = density_to_fock(damped, n)
         start = fock_density_from_vector(state_to_fock(s, n), (n + 1, n + 1))
         via_fock = apply_channel(start, 1, damping_kraus(eta, n))
         assert np.max(np.abs(via_exact.mat - via_fock.mat)) < 1e-8
+        assert relative_error(via_exact.mat, kron_density_to_fock(damped, n)) < 1e-15
+        assert relative_error(start.kets[0], kron_state_to_fock(s, n)) < 1e-15
 
     @pytest.mark.parametrize("alpha,eta", [(0.5, 0.3), (1.0, 0.7), (1.5, 0.9)])
     def test_two_mode_ghz_pipeline(self, alpha, eta):
         g = ghz_state(alpha, modes=2)
         n = required_levels(alpha)
-        d = density_from_pure(g, check_norm=False)
-        via_exact = density_to_fock(apply_loss(d, 1, eta), n)
+        damped = apply_loss(density_from_pure(g, check_norm=False), 1, eta)
+        via_exact = density_to_fock(damped, n)
         start = fock_density_from_vector(state_to_fock(g, n), (n + 1, n + 1))
         via_fock = apply_channel(start, 1, damping_kraus(eta, n))
         assert np.max(np.abs(via_exact.mat - via_fock.mat)) < 1e-8
+        assert relative_error(via_exact.mat, kron_density_to_fock(damped, n)) < 1e-15
+        assert relative_error(start.kets[0], kron_state_to_fock(g, n)) < 1e-15
 
     def test_memory_guard(self):
         s = cat_state(1.0, 1.0, modes=3)

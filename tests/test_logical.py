@@ -341,6 +341,20 @@ class TestWootters:
         assert sqrtm_concurrence(rho) == pytest.approx(0.25, abs=1e-10)
         assert wootters_concurrence(rho) == pytest.approx(0.25, abs=1e-12)
 
+    def test_pure_states_match_spin_flip_overlap(self):
+        # a rank-1 rho has three zero eigenvalues, whose square roots cost
+        # ~1e-8 in a route through the spectrum of rho rho~
+        from catdamp.logical import _SPIN_FLIP
+
+        rng = np.random.default_rng(21)
+        worst = 0.0
+        for _ in range(500):
+            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+            psi /= np.linalg.norm(psi)
+            want = abs(psi @ _SPIN_FLIP @ psi)
+            worst = max(worst, abs(wootters_concurrence(np.outer(psi, psi.conj())) - want))
+        assert worst < 1e-14
+
     def test_rejects_unphysical(self):
         bad = np.diag([1.0, 0.5, -0.5, 0.0]).astype(complex)
         with pytest.raises(ValueError):

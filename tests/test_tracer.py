@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import catdamp.cli  # noqa: F401  (loads every catdamp module the tracer wraps)
-from catdamp import coherent, formulas, logical
+from catdamp import coherent, fockref, formulas, logical
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -40,3 +40,24 @@ def test_tracer_installs_and_uninstalls():
     assert (formulas.ghz_damped_elements, formulas.ghz_damped_projection,
             formulas.coherent_overlap, logical.LogicalBasis.overlaps,
             coherent.apply_loss) == originals
+
+
+def test_tracer_wraps_the_fock_oracle():
+    # the Fock wrappers read `dims` off each result for the largest n_max
+    originals = (fockref.density_to_fock, fockref.apply_channel)
+    n = fockref.required_levels(0.6)
+    rho_in = coherent.density_from_pure(formulas.cat_state((0.6, 0.6), -1.0))
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert fockref.apply_channel is not originals[1]
+        rho = fockref.density_to_fock(rho_in, n)
+        fockref.apply_channel(rho, 1, fockref.damping_kraus(0.5, n))
+        fockref.apply_channel(rho, 0, fockref.damping_kraus(0.5, n))
+        counts = tracer.snapshot()
+    finally:
+        tracer.uninstall()
+    assert counts["fockref.apply_channel_calls"] == 2
+    assert counts["fockref.n_max_max"] == n
+    assert counts["fockref.density_to_fock_s"] > 0.0
+    assert (fockref.density_to_fock, fockref.apply_channel) == originals
