@@ -1,18 +1,24 @@
 """Exact algebra of finite superpositions of multimode coherent states.
 
-A multimode pure state is stored as a weighted list of products of coherent
-states; a density operator as a weighted list of coherent ket-bra dyads.
-Because a beamsplitter maps a product of coherent states to another product
-of coherent states, and tracing a mode of a coherent dyad only multiplies its
-weight by an overlap, every operation here is closed on these representations
-and exact up to floating point.
+A pure state of m modes is a term table: a complex (T, 1 + m) array whose
+row t, (c_t, a_t0, ..., a_t(m-1)), is the term c_t |a_t0, ..., a_t(m-1)>.
+A density is a dyad table: a complex (N, 1 + 2m) array whose row n,
+(c_n, ket_n, bra_n), is the dyad c_n |ket_n><bra_n|.  Because a beamsplitter
+maps a product of coherent states to another product of coherent states, and
+tracing a mode of a coherent dyad only multiplies its weight by an overlap,
+every operation here is closed on these tables and exact up to floating
+point.  The tables are read-only, and each is checked once, when its state or
+density is made: its shape, and that every entry is finite.
+
+Each operation is an array expression over `_log_overlaps`, the per-mode
+overlap kernel that `coherent_overlap` also calls; `_gram`, the Gram kernel
+of the batched spectra, takes one exp per pair of products.  Rows whose
+amplitudes are equal are found by their exact bytes, with -0.0 read as 0.0.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,114 +27,85 @@ import numpy as np
 # through long pipelines without touching 1e-10-level results)
 PRUNE_TOL = 1e-14
 
-# absolute tolerance when deciding two amplitudes are the same dyad signature
-AMP_MERGE_TOL = 1e-12
-
-_KEY_SCALE = 1.0 / AMP_MERGE_TOL
-
 # largest mismatch between a dyad and its conjugate partner in `is_hermitian`
 HERMITIAN_TOL = 1e-10
 
 
-def coherent_overlap(a: complex, b: complex) -> complex:
-    """Overlap <a|b> of two coherent states, exp(-|a|^2/2 - |b|^2/2 + a* b)."""
-    a = complex(a)
-    b = complex(b)
-    return cmath.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + a.conjugate() * b)
-
-
-def product_overlap(amps_a: Sequence[complex], amps_b: Sequence[complex]) -> complex:
-    """Overlap of two products of coherent states, one amplitude per mode."""
-    out = 1 + 0j
-    for x, y in zip(amps_a, amps_b):
-        out *= coherent_overlap(x, y)
+def _log_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log <a|b> = -|a - b|^2 / 2 + i Im(a* b) of coherent amplitudes a and
+    b, complex arrays that broadcast, element by element.  The real part is
+    formed from the difference, so it is never positive and is exactly 0 at
+    a = b."""
+    diff = a - b
+    out = -0.5 * (diff * diff.conj())
+    out.imag = a.real * b.imag - a.imag * b.real
     return out
 
 
-def _check_finite(values: Iterable[complex]) -> None:
-    for z in values:
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError(f"non-finite amplitude or coefficient: {z!r}")
+def _product_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Overlaps of coherent products, one amplitude per mode along the last
+    axis of a and b: the product of the per-mode overlaps, mode by mode."""
+    return np.multiply.reduce(np.exp(_log_overlaps(a, b)), axis=-1)
 
 
-@dataclass(frozen=True)
-class CoherentTerm:
-    """One weighted product ket c * |a_0, a_1, ..., a_{m-1}>."""
-
-    coeff: complex
-    amps: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "amps", tuple(complex(a) for a in self.amps))
-        _check_finite((self.coeff, *self.amps))
+def coherent_overlap(a: complex, b: complex) -> complex:
+    """Overlap <a|b> of two coherent states, exp(-|a|^2/2 - |b|^2/2 + a* b)."""
+    pair = np.array([[a], [b]], dtype=complex)
+    return complex(np.exp(_log_overlaps(pair[0], pair[1]))[0])
 
 
-@dataclass(frozen=True)
+def _table(rows, per_mode: int) -> np.ndarray:
+    """rows as a read-only complex (R, 1 + per_mode * m) table, m >= 1."""
+    table = np.array(rows, dtype=complex)
+    width = table.shape[1] - 1 if table.ndim == 2 else -1
+    if width < per_mode or width % per_mode:
+        raise ValueError(f"expected a (rows, 1 + {per_mode} m) table, m >= 1; "
+                         f"got shape {table.shape}")
+    if not np.logical_and.reduce(np.isfinite(table), axis=None):
+        raise ValueError("non-finite amplitude or coefficient")
+    table.flags.writeable = False
+    return table
+
+
 class SuperpositionState:
-    """Finite superposition of multimode coherent product states."""
+    """Finite superposition sum_t c_t |a_t0, ..., a_t(m-1)> of m-mode
+    coherent products, held as the read-only term table `terms`, a complex
+    (T, 1 + m) array whose row t is (c_t, a_t0, ..., a_t(m-1)); `coeffs`
+    and `amps` are views of its first column and the rest.  `from_terms`
+    builds it from (coefficient, amplitudes) pairs."""
 
-    mode_count: int
-    terms: tuple[CoherentTerm, ...]
-
-    def __post_init__(self):
-        if self.mode_count <= 0:
-            raise ValueError("mode_count must be positive")
-        object.__setattr__(self, "terms", tuple(self.terms))
-        for t in self.terms:
-            if len(t.amps) != self.mode_count:
-                raise ValueError(
-                    f"term has {len(t.amps)} amplitudes, state has {self.mode_count} modes"
-                )
+    def __init__(self, terms):
+        self.terms = _table(terms, 1)
+        self.mode_count = self.terms.shape[1] - 1
+        self.coeffs, self.amps = self.terms[:, 0], self.terms[:, 1:]
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[complex, Sequence[complex]]]) -> "SuperpositionState":
-        terms = tuple(CoherentTerm(c, tuple(a)) for c, a in pairs)
-        if not terms:
+        rows = [(c, *amps) for c, amps in pairs]
+        if not rows:
             raise ValueError("state needs at least one term")
-        return cls(len(terms[0].amps), terms)
+        return cls(rows)
 
 
-@dataclass(frozen=True)
-class Dyad:
-    """One weighted ket-bra c * |ket><bra| of coherent products."""
-
-    coeff: complex
-    ket: tuple[complex, ...]
-    bra: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "ket", tuple(complex(a) for a in self.ket))
-        object.__setattr__(self, "bra", tuple(complex(a) for a in self.bra))
-        _check_finite((self.coeff, *self.ket, *self.bra))
-
-
-@dataclass(frozen=True)
 class SuperpositionDensity:
-    """Density operator as a finite weighted list of coherent dyads."""
+    """Density operator sum_n c_n |ket_n><bra_n| over m-mode coherent
+    products, held as the read-only dyad table `dyads`, a complex
+    (N, 1 + 2m) array whose row n is (c_n, ket_n, bra_n); `coeffs`, `kets`
+    and `bras` are views of its first column and its next m and last m."""
 
-    mode_count: int
-    dyads: tuple[Dyad, ...]
-
-    def __post_init__(self):
-        if self.mode_count <= 0:
-            raise ValueError("mode_count must be positive")
-        object.__setattr__(self, "dyads", tuple(self.dyads))
-        for d in self.dyads:
-            if len(d.ket) != self.mode_count or len(d.bra) != self.mode_count:
-                raise ValueError("dyad mode count mismatch")
+    def __init__(self, dyads):
+        self.dyads = _table(dyads, 2)
+        m = self.mode_count = (self.dyads.shape[1] - 1) // 2
+        self.coeffs, self.kets, self.bras = (
+            self.dyads[:, 0], self.dyads[:, 1:1 + m], self.dyads[:, 1 + m:])
 
 
 def state_inner(s1: SuperpositionState, s2: SuperpositionState) -> complex:
     """<s1|s2>, the bilinear extension of the coherent overlap over term lists."""
     if s1.mode_count != s2.mode_count:
         raise ValueError(f"mode count mismatch: {s1.mode_count} != {s2.mode_count}")
-    out = 0j
-    for t1 in s1.terms:
-        for t2 in s2.terms:
-            out += t1.coeff.conjugate() * t2.coeff * product_overlap(t1.amps, t2.amps)
-    return out
+    gram = _product_overlaps(s1.amps[:, None, :], s2.amps[None, :, :])
+    return complex(np.add.reduce(s1.coeffs.conj()[:, None] * gram * s2.coeffs, axis=None))
 
 
 def state_norm(s: SuperpositionState) -> float:
@@ -140,38 +117,31 @@ def normalize(s: SuperpositionState) -> SuperpositionState:
     n2 = state_inner(s, s).real
     if n2 <= 1e-30:
         raise ValueError("cannot normalize a state with (near-)zero norm")
-    inv = 1.0 / math.sqrt(n2)
-    return SuperpositionState(
-        s.mode_count, tuple(CoherentTerm(t.coeff * inv, t.amps) for t in s.terms)
-    )
+    return scale(s, 1.0 / math.sqrt(n2))
 
 
 def scale(s: SuperpositionState, factor: complex) -> SuperpositionState:
-    return SuperpositionState(
-        s.mode_count, tuple(CoherentTerm(t.coeff * factor, t.amps) for t in s.terms)
-    )
+    terms = np.array(s.terms)
+    terms[:, 0] *= factor
+    return SuperpositionState(terms)
 
 
 def add(s1: SuperpositionState, s2: SuperpositionState) -> SuperpositionState:
     if s1.mode_count != s2.mode_count:
         raise ValueError("mode count mismatch")
-    return SuperpositionState(s1.mode_count, s1.terms + s2.terms)
+    return SuperpositionState(np.concatenate([s1.terms, s2.terms]))
 
 
 def tensor(s1: SuperpositionState, s2: SuperpositionState) -> SuperpositionState:
-    """Tensor product; modes of s2 are appended after those of s1."""
-    terms = tuple(
-        CoherentTerm(t1.coeff * t2.coeff, t1.amps + t2.amps)
-        for t1 in s1.terms
-        for t2 in s2.terms
-    )
-    return SuperpositionState(s1.mode_count + s2.mode_count, terms)
-
-
-def _bs_pair(ai: complex, aj: complex, eta: float) -> tuple[complex, complex]:
-    ct = math.sqrt(eta)
-    st = math.sqrt(1.0 - eta)
-    return ct * ai + st * aj, ct * aj - st * ai
+    """Tensor product; modes of s2 are appended after those of s1, and term
+    (i, j) is row i * len(s2.terms) + j."""
+    (n1, w1), n2 = s1.terms.shape, len(s2.terms)
+    width = w1 + s2.mode_count
+    terms = np.empty((n1, n2, width), dtype=complex)
+    terms[:, :, :w1] = s1.terms[:, None, :]
+    terms[:, :, 0] *= s2.coeffs
+    terms[:, :, w1:] = s2.amps
+    return SuperpositionState(terms.reshape(n1 * n2, width))
 
 
 def _check_eta(eta: float) -> None:
@@ -200,16 +170,16 @@ def beamsplitter(
     _check_mode(mode_j, s.mode_count)
     if mode_i == mode_j:
         raise ValueError("beamsplitter needs two distinct modes")
-    terms = []
-    for t in s.terms:
-        amps = list(t.amps)
-        amps[mode_i], amps[mode_j] = _bs_pair(amps[mode_i], amps[mode_j], eta)
-        terms.append(CoherentTerm(t.coeff, tuple(amps)))
-    return SuperpositionState(s.mode_count, tuple(terms))
+    ct, st = math.sqrt(eta), math.sqrt(1.0 - eta)
+    terms = np.array(s.terms)
+    ai, aj = s.terms[:, 1 + mode_i], s.terms[:, 1 + mode_j]
+    terms[:, 1 + mode_i], terms[:, 1 + mode_j] = ct * ai + st * aj, ct * aj - st * ai
+    return SuperpositionState(terms)
 
 
 def density_from_pure(s: SuperpositionState, check_norm: bool = True) -> SuperpositionDensity:
-    """|s><s| expanded into dyads.  Expects a normalized state.
+    """|s><s| expanded into dyads, (k, l) at row k * T + l.  Expects a
+    normalized state.
 
     `check_norm=False` skips the norm recomputation; use it for states that
     are normalized by construction but whose coherent expansion carries large
@@ -219,19 +189,16 @@ def density_from_pure(s: SuperpositionState, check_norm: bool = True) -> Superpo
         n2 = state_inner(s, s).real
         if abs(n2 - 1.0) > 1e-8:
             raise ValueError(f"state must be normalized (norm^2 = {n2})")
-    dyads = tuple(
-        Dyad(tk.coeff * tl.coeff.conjugate(), tk.amps, tl.amps)
-        for tk in s.terms
-        for tl in s.terms
-    )
-    return SuperpositionDensity(s.mode_count, dyads)
+    t, w = s.terms.shape
+    dyads = np.empty((t, t, 2 * w - 1), dtype=complex)
+    dyads[:, :, :w] = s.terms[:, None, :]
+    dyads[:, :, 0] *= s.coeffs.conj()
+    dyads[:, :, w:] = s.amps
+    return SuperpositionDensity(dyads.reshape(t * t, 2 * w - 1))
 
 
 def density_trace(d: SuperpositionDensity) -> complex:
-    out = 0j
-    for dy in d.dyads:
-        out += dy.coeff * product_overlap(dy.bra, dy.ket)
-    return out
+    return complex(np.add.reduce(d.coeffs * _product_overlaps(d.bras, d.kets)))
 
 
 def partial_trace(d: SuperpositionDensity, traced_modes: Iterable[int]) -> SuperpositionDensity:
@@ -248,15 +215,9 @@ def partial_trace(d: SuperpositionDensity, traced_modes: Iterable[int]) -> Super
     if not traced:
         return d
     keep = [k for k in range(d.mode_count) if k not in traced]
-    dyads = []
-    for dy in d.dyads:
-        c = dy.coeff
-        for k in traced:
-            c *= coherent_overlap(dy.bra[k], dy.ket[k])
-        dyads.append(
-            Dyad(c, tuple(dy.ket[k] for k in keep), tuple(dy.bra[k] for k in keep))
-        )
-    return SuperpositionDensity(len(keep), tuple(dyads))
+    coeffs = d.coeffs * _product_overlaps(d.bras[:, traced], d.kets[:, traced])
+    return SuperpositionDensity(
+        np.concatenate([coeffs[:, None], d.kets[:, keep], d.bras[:, keep]], axis=1))
 
 
 def apply_loss(
@@ -266,60 +227,60 @@ def apply_loss(
     with transmissivity eta through a beamsplitter, then trace it out.
 
     Amplitudes in the lossy mode shrink to sqrt(eta) times their value and
-    off-diagonal dyads pick up the environment-overlap damping factor.
+    each dyad picks up the environment overlap <st bra|st ket>, st =
+    sqrt(1 - eta), of that mode's amplitudes.
     """
     _check_eta(eta)
     if isinstance(x, SuperpositionState):
         x = density_from_pure(x)
     _check_mode(mode, x.mode_count)
-    env = x.mode_count  # the appended environment slot
-    dyads = []
-    for dy in x.dyads:
-        ket = list(dy.ket) + [0j]
-        bra = list(dy.bra) + [0j]
-        ket[mode], ket[env] = _bs_pair(ket[mode], ket[env], eta)
-        bra[mode], bra[env] = _bs_pair(bra[mode], bra[env], eta)
-        c = dy.coeff * coherent_overlap(bra[env], ket[env])
-        dyads.append(Dyad(c, tuple(ket[:-1]), tuple(bra[:-1])))
-    return SuperpositionDensity(x.mode_count, tuple(dyads))
+    table = np.array(x.dyads)
+    ket, bra = table[:, 1 + mode], table[:, 1 + x.mode_count + mode]
+    st = math.sqrt(1.0 - eta)
+    table[:, 0] *= np.exp(_log_overlaps(st * bra, st * ket))
+    ket *= math.sqrt(eta)
+    bra *= math.sqrt(eta)
+    return SuperpositionDensity(table)
 
 
-def _amp_key(amps: tuple[complex, ...]) -> tuple:
-    return tuple(
-        (int(round(a.real * _KEY_SCALE)), int(round(a.imag * _KEY_SCALE))) for a in amps
-    )
+def _groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group) for the rows of a complex (R, k) array: the index of
+    the first row of each distinct row, in row order, and the number of each
+    row's distinct row in that order.  Rows are equal when their bytes are."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    number: dict[bytes, int] = {}
+    group = np.array([number.setdefault(key, len(number)) for key in keys], dtype=np.intp)
+    # group g first appears where the running maximum of the numbers reaches g
+    return np.searchsorted(np.maximum.accumulate(group), np.arange(len(number))), group
 
 
 def canonicalize(d: SuperpositionDensity, tol: float = PRUNE_TOL) -> SuperpositionDensity:
-    """Merge dyads with equal amplitude signatures and drop |coeff| < tol."""
+    """Merge dyads whose ket and bra amplitudes are equal (-0.0 reads as
+    0.0), summing their weights in dyad order, and drop |coeff| < tol.  The
+    merged dyad sits where its first member did and keeps its amplitudes."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    merged: dict[tuple, Dyad] = {}
-    order: list[tuple] = []
-    for dy in d.dyads:
-        key = (_amp_key(dy.ket), _amp_key(dy.bra))
-        if key in merged:
-            prev = merged[key]
-            merged[key] = Dyad(prev.coeff + dy.coeff, prev.ket, prev.bra)
-        else:
-            merged[key] = dy
-            order.append(key)
-    dyads = tuple(merged[k] for k in order if abs(merged[k].coeff) >= tol)
-    return SuperpositionDensity(d.mode_count, dyads)
+    first, group = _groups(d.dyads[:, 1:] + 0.0)
+    coeffs = np.zeros(len(first), dtype=complex)
+    np.add.at(coeffs, group, d.coeffs)
+    keep = np.abs(coeffs) >= tol
+    table = d.dyads[first[keep]]
+    table[:, 0] = coeffs[keep]
+    return SuperpositionDensity(table)
 
 
 def is_hermitian(d: SuperpositionDensity) -> bool:
     """True if every dyad has a conjugate partner of matching weight."""
     c = canonicalize(d, tol=0.0)
-    table = {(_amp_key(dy.ket), _amp_key(dy.bra)): dy.coeff for dy in c.dyads}
-    for (kk, kb), coeff in table.items():
-        partner = table.get((kb, kk))
-        if partner is None:
-            if abs(coeff) > HERMITIAN_TOL:
-                return False
-        elif abs(partner - coeff.conjugate()) > HERMITIAN_TOL:
-            return False
-    return True
+    n = len(c.dyads)
+    swapped = np.concatenate([c.bras, c.kets], axis=1)
+    _, group = _groups(np.concatenate([c.dyads[:, 1:], swapped]) + 0.0)
+    owner = np.full(2 * n, -1)
+    owner[group[:n]] = np.arange(n)
+    partner = owner[group[n:]]
+    partner_coeffs = np.where(partner >= 0, c.coeffs[partner], 0.0)
+    return bool(np.all(np.abs(partner_coeffs - c.coeffs.conj()) <= HERMITIAN_TOL))
 
 
 def _gram(amps: np.ndarray) -> np.ndarray:
@@ -352,37 +313,24 @@ def density_spectrum(d: SuperpositionDensity) -> np.ndarray:
     """Eigenvalues of the operator on the span of its coherent support vectors,
     sorted in decreasing order.
 
-    Collects the distinct ket and bra amplitude tuples as the support and
-    hands them to `_gram_spectra` as one operator.  Working through the Gram
-    matrix of the (non-orthogonal) support keeps the result exact up to
-    floating point regardless of amplitude overlap.
+    Collects the distinct ket and bra amplitude rows as the support, in the
+    order ket 0, bra 0, ket 1, ..., and hands them to `_gram_spectra` as one
+    operator.  Working through the Gram matrix of the (non-orthogonal)
+    support keeps the result exact up to floating point regardless of
+    amplitude overlap.
     """
-    index: dict[tuple, int] = {}
-    vectors: list[tuple[complex, ...]] = []
-    for dy in d.dyads:
-        for amps in (dy.ket, dy.bra):
-            key = _amp_key(amps)
-            if key not in index:
-                index[key] = len(vectors)
-                vectors.append(amps)
-    r = len(vectors)
-    if r == 0:
+    if not len(d.dyads):
         return np.zeros(0)
-    coeffs = np.zeros((1, r, r), dtype=complex)
-    for dy in d.dyads:
-        coeffs[0, index[_amp_key(dy.ket)], index[_amp_key(dy.bra)]] += dy.coeff
-    return _gram_spectra(np.array([vectors], dtype=complex), coeffs)[0]
+    support = np.stack([d.kets, d.bras], axis=1).reshape(-1, d.mode_count)
+    first, index = _groups(support + 0.0)
+    r = len(first)
+    coeffs = np.zeros(r * r, dtype=complex)
+    np.add.at(coeffs, index[0::2] * r + index[1::2], d.coeffs)
+    return _gram_spectra(support[first][None], coeffs.reshape(1, r, r))[0]
 
 
 def density_purity(d: SuperpositionDensity) -> float:
     """Tr(rho^2) from the exact double sum over dyads."""
-    out = 0j
-    for di in d.dyads:
-        for dj in d.dyads:
-            out += (
-                di.coeff
-                * dj.coeff
-                * product_overlap(di.bra, dj.ket)
-                * product_overlap(dj.bra, di.ket)
-            )
-    return out.real
+    overlaps = _product_overlaps(d.bras[:, None, :], d.kets[None, :, :])
+    c = d.coeffs
+    return float(np.sum(c[:, None] * c[None, :] * overlaps * overlaps.T).real)

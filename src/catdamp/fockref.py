@@ -89,11 +89,10 @@ class FockDensity:
         return self.kets.T @ self.bras.conj()
 
 
-def _product_vectors(coeffs, amps, modes: int, n_max: int) -> np.ndarray:
-    """Rows coeffs[i] * kron_m coherent_fock(amps[i][m], n_max), shape
-    (len(coeffs), (n_max + 1)^modes)."""
+def _product_vectors(coeffs, amps: np.ndarray, n_max: int) -> np.ndarray:
+    """Rows coeffs[i] * kron_k coherent_fock(amps[i, k], n_max) of an (N, m)
+    amplitude table, shape (N, (n_max + 1)^m)."""
     dim = n_max + 1
-    amps = np.array(amps, dtype=complex).reshape(len(coeffs), modes)
     fock = {a: coherent_fock(a, n_max) for a in set(amps.ravel().tolist())}
     out = np.array(coeffs, dtype=complex).reshape(-1, 1)
     for column in amps.T:
@@ -108,17 +107,15 @@ def fock_density_from_vector(vec: np.ndarray, dims: Sequence[int]) -> FockDensit
 
 def state_to_fock(s: SuperpositionState, n_max: int) -> np.ndarray:
     """Product-space vector of a coherent superposition at truncation n_max."""
-    coeffs, amps = [t.coeff for t in s.terms], [t.amps for t in s.terms]
-    return _product_vectors(coeffs, amps, s.mode_count, n_max).sum(axis=0)
+    return _product_vectors(s.coeffs, s.amps, n_max).sum(axis=0)
 
 
 def density_to_fock(d: SuperpositionDensity, n_max: int) -> FockDensity:
     """Ket-bra pairs of a coherent-dyad density at truncation n_max, with the
     dyad coefficients on the kets."""
-    dyads, m = d.dyads, d.mode_count
-    kets = _product_vectors([dy.coeff for dy in dyads], [dy.ket for dy in dyads], m, n_max)
-    bras = _product_vectors([1.0] * len(dyads), [dy.bra for dy in dyads], m, n_max)
-    return FockDensity((n_max + 1,) * m, kets, bras)
+    kets = _product_vectors(d.coeffs, d.kets, n_max)
+    bras = _product_vectors(np.ones(len(d.dyads)), d.bras, n_max)
+    return FockDensity((n_max + 1,) * d.mode_count, kets, bras)
 
 
 def apply_channel(rho: FockDensity, mode: int, kraus: Iterable[np.ndarray]) -> FockDensity:

@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .coherent import (
-    PRUNE_TOL,
     SuperpositionState,
-    coherent_overlap,
+    add,
+    apply_loss,
+    canonicalize,
+    density_from_pure,
     normalize,
     scale,
-    add,
     tensor,
 )
 from .logical import (
@@ -37,6 +38,7 @@ from .logical import (
     _weights2,
     _x_concurrence,
     make_basis,
+    project_to_qubits,
 )
 
 import numpy as np
@@ -264,7 +266,7 @@ def ghz_state(alpha: float, modes: int = 3) -> SuperpositionState:
     for _ in range(modes - 1):
         all_u = tensor(all_u, u)
         all_v = tensor(all_v, v)
-    return add(scale(all_u, 1.0 / math.sqrt(2.0)), scale(all_v, 1.0 / math.sqrt(2.0)))
+    return scale(add(all_u, all_v), 1.0 / math.sqrt(2.0))
 
 
 # the lossy modes of the three-mode states for each sidedness
@@ -277,27 +279,9 @@ _LOSSY_MODES = {"one": (2,), "two": (1, 2)}
 # (2 mu)^-6 to entries of order 1.
 GHZ_ROUNDING_LIMIT = 1e-10
 
-# bit k of sign pattern p (mode 0 the most significant bit) is set where the
-# coherent product p has amplitude -alpha in mode k
-_PATTERN_BITS = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1
-_PATTERN_SIGNS = (-1.0) ** _PATTERN_BITS.sum(axis=1)
-
-
-def _real_table(fn, amps: np.ndarray) -> np.ndarray:
-    """The real parts of fn(a), a tuple of complex scalars, at each real
-    amplitude a of amps (G,): a (G, len(fn(a))) array."""
-    return np.array([fn(a) for a in amps.tolist()], dtype=complex).real
-
-
-def _sign_overlaps(a: float) -> tuple[complex, complex]:
-    """<a|s a> for s = +1 and s = -1."""
-    return coherent_overlap(a, a), coherent_overlap(a, -a)
-
-
-def _basis_pairs(a: float) -> tuple[complex, ...]:
-    """(<u|s a>, <v|s a>) in the basis at amplitude a, for s = +1 and -1."""
-    basis = make_basis(a)
-    return basis.overlaps(a) + basis.overlaps(-a)
+# (-1)^(number of v's) at each entry of the three-mode product logical
+# basis: the sign that |-A>, which flips every mu_k, gives that entry
+_PATTERN_SIGNS = (-1.0) ** ((np.arange(8)[:, None] >> np.arange(3)) & 1).sum(axis=1)
 
 
 def ghz_damped_projection(
@@ -310,20 +294,12 @@ def ghz_damped_projection(
 
     A float `alpha` gives `(8x8 matrix, residual)`; a 1-D array of G
     amplitudes gives `((G, 8, 8) matrices, (G,) residuals)`, row i equal to
-    the call at `alpha[i]` bit for bit.  (|uuu> + |vvv>)/sqrt(2) expands
-    into the 8 sign patterns of (+-a, +-a, +-a), twice; |GHZ><GHZ| is 256
-    coherent dyads that merge into the 64 pattern pairs whatever alpha is.
-    The route runs that fixed plan as one array program: it merges the
-    weights in `canonicalize`'s order and drops those below `PRUNE_TOL`,
-    damps each lossy mode to sqrt(eta) a times its environment overlap,
-    projects, and sums the outer products and the trace in dyad order.  Its
-    per-amplitude numbers are the scalar kernels' own: lam and mu from
-    `make_basis(a)`, the basis pairs from its `overlaps(+-a)` and the
-    coherent overlaps from `coherent_overlap`, one call each per grid
-    amplitude.  Every amplitude and weight is real, so the plan runs in real
-    arithmetic on their real parts, and equals the generic composition
-    (`ghz_state`, `density_from_pure`, `canonicalize`, `apply_loss`,
-    `project_to_qubits`) bit for bit.
+    the call at `alpha[i]` bit for bit.  Each amplitude runs the generic
+    composition: `ghz_state` expands (|uuu> + |vvv>)/sqrt(2) into 16
+    coherent terms, `density_from_pure` into their 256 dyads, which
+    `canonicalize` merges into the 64 sign-pattern pairs; `apply_loss` damps
+    each lossy mode, `canonicalize` drops the weights below `PRUNE_TOL`, and
+    `project_to_qubits` projects in the bases at a and sqrt(eta) a.
 
     The expansion's weights grow as (2 mu)^-3, so the matrix cancels terms
     of order (2 mu)^-6: an alpha whose estimate 16 * 2^-52 * (2 mu)^-6
@@ -340,59 +316,23 @@ def ghz_damped_projection(
     _check_eta(eta, positive=True)
     with np.errstate(over="ignore", divide="ignore"):
         _reject(np.isfinite(2.0 * grid * grid), grid, "2 alpha^2 overflows at alpha = {!r}")
-        bases = [make_basis(a) for a in grid.tolist()]
-        lam = np.array([basis.lam for basis in bases])
-        mu = np.array([basis.mu for basis in bases])
+        mu = np.array([make_basis(a).mu for a in grid.tolist()])
         _reject(16.0 * 2.0**-52 * (2.0 * mu) ** -6.0 <= GHZ_ROUNDING_LIMIT, grid,
                 "the GHZ dyad expansion loses more than GHZ_ROUNDING_LIMIT to rounding "
                 "at alpha = {!r}")
-    g = len(grid)
     lossy = _LOSSY_MODES[sides]
-    # u-pattern terms weigh U each, v-pattern terms (-1)^|p| V; the dyad
-    # (i, j) merges uu, uv, vu and vv in that order
-    cu = 1.0 / (2.0 * lam)
-    cv = 1.0 / (2.0 * mu)
-    u = cu * cu * cu * (1.0 / math.sqrt(2.0))
-    v = cv * cv * cv * (1.0 / math.sqrt(2.0))
-    ket_sign = _PATTERN_SIGNS[:, None]
-    bra_sign = _PATTERN_SIGNS[None, :]
-    uv = (u * v)[:, None, None]
-    coeff = (u * u)[:, None, None] + bra_sign * uv + ket_sign * uv + (
-        ket_sign * bra_sign * (v * v)[:, None, None])
-    coeff = np.where(np.abs(coeff) >= PRUNE_TOL, coeff, 0.0)
-    # same[i, j, k]: ket pattern i and bra pattern j agree in mode k
-    same = _PATTERN_BITS[:, None, :] == _PATTERN_BITS[None, :, :]
-
-    def by_sign(pair: np.ndarray, mode: int) -> np.ndarray:
-        return np.where(same[:, :, mode], pair[:, 0, None, None], pair[:, 1, None, None])
-
-    env = _real_table(_sign_overlaps, math.sqrt(1.0 - eta) * grid)
-    for mode in lossy:
-        coeff = coeff * by_sign(env, mode)
-    coeff = np.where(np.abs(coeff) >= PRUNE_TOL, coeff, 0.0)
-    # vec[g, p, r]: <r|pattern p> in the damped product basis; overlap[g, i, j]:
-    # <pattern j|pattern i>, both grown mode by mode as project_to_qubits and
-    # density_trace multiply them
-    vec = np.ones((g, 1, 1))
-    overlap = np.ones((g, 8, 8))
-    for mode in range(3):
-        amp = math.sqrt(eta) * grid if mode in lossy else grid
-        pair = _real_table(_basis_pairs, amp).reshape(g, 2, 2)
-        vec = (vec[:, :, None, :, None] * pair[:, None, :, None, :]).reshape(
-            g, 2 * vec.shape[1], 2 * vec.shape[2])
-        overlap = overlap * by_sign(_real_table(_sign_overlaps, amp), mode)
-    traces = coeff * overlap
-    terms = coeff[:, :, :, None, None] * (vec[:, :, None, :, None] * vec[:, None, :, None, :])
-    real = np.zeros((g, 8, 8))
-    trace = np.zeros(g)
-    for term, t in zip(np.moveaxis(terms.reshape(g, 64, 8, 8), 1, 0), traces.reshape(g, 64).T):
-        real += term
-        trace += t
-    mat = real.astype(complex)
-    residual = trace - np.array([np.trace(m).real for m in mat])
+    mats, residuals = [], []
+    for a in grid.tolist():
+        d = canonicalize(density_from_pure(ghz_state(a, 3), check_norm=False))
+        for mode in lossy:
+            d = apply_loss(d, mode, eta)
+        bases = [make_basis(a * math.sqrt(eta) if k in lossy else a) for k in range(3)]
+        mat, residual = project_to_qubits(canonicalize(d), bases)
+        mats.append(mat)
+        residuals.append(residual)
     if alphas.ndim == 0:
-        return mat[0], float(residual[0])
-    return mat, residual
+        return mats[0], residuals[0]
+    return np.array(mats), np.array(residuals)
 
 
 def _ghz_elements_closed(alpha, eta, sides: str):

@@ -21,6 +21,7 @@ from catdamp.coherent import (
     state_norm,
     tensor,
 )
+from catdamp.formulas import cat_state, mode_ladder
 
 
 def fock_series_overlap(a, b, n_terms=60):
@@ -116,15 +117,14 @@ class TestNormalize:
         rng = np.random.default_rng(5)
         s = normalize(random_state(rng))
         s2 = normalize(s)
-        for t1, t2 in zip(s.terms, s2.terms):
-            assert abs(t1.coeff - t2.coeff) < 1e-12
+        assert np.max(np.abs(s.coeffs - s2.coeffs)) < 1e-12
 
     def test_even_cat_constant(self):
         a = 0.8
         raw = SuperpositionState.from_terms([(1.0, (a,)), (1.0, (-a,))])
         n = normalize(raw)
         expected = 1 / math.sqrt(2 * (1 + math.exp(-2 * a * a)))
-        assert n.terms[0].coeff == pytest.approx(expected, abs=1e-14)
+        assert n.coeffs[0] == pytest.approx(expected, abs=1e-14)
 
     def test_zero_norm_rejected(self):
         # the odd superposition at alpha = 0 vanishes identically
@@ -138,22 +138,21 @@ class TestBeamsplitter:
         a, eta = 1.3, 0.7
         s = SuperpositionState.from_terms([(1.0, (a, 0.0))])
         out = beamsplitter(s, 0, 1, eta)
-        assert out.terms[0].amps[0] == pytest.approx(math.sqrt(eta) * a, abs=1e-14)
-        assert out.terms[0].amps[1] == pytest.approx(-math.sqrt(1 - eta) * a, abs=1e-14)
-        assert out.terms[0].coeff == pytest.approx(1.0, abs=1e-14)
+        assert out.amps[0, 0] == pytest.approx(math.sqrt(eta) * a, abs=1e-14)
+        assert out.amps[0, 1] == pytest.approx(-math.sqrt(1 - eta) * a, abs=1e-14)
+        assert out.coeffs[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_eta_one_identity(self):
         rng = np.random.default_rng(7)
         s = random_state(rng)
         out = beamsplitter(s, 0, 1, 1.0)
-        for t1, t2 in zip(s.terms, out.terms):
-            assert all(abs(x - y) < 1e-14 for x, y in zip(t1.amps, t2.amps))
+        assert np.max(np.abs(s.amps - out.amps)) < 1e-14
 
     def test_eta_zero_swaps(self):
         s = SuperpositionState.from_terms([(1.0, (0.4, 1.1))])
         out = beamsplitter(s, 0, 1, 0.0)
-        assert out.terms[0].amps[0] == pytest.approx(1.1, abs=1e-14)
-        assert out.terms[0].amps[1] == pytest.approx(-0.4, abs=1e-14)
+        assert out.amps[0, 0] == pytest.approx(1.1, abs=1e-14)
+        assert out.amps[0, 1] == pytest.approx(-0.4, abs=1e-14)
 
     def test_unitarity_random_states(self):
         rng = np.random.default_rng(42)
@@ -178,7 +177,7 @@ class TestDensity:
         s = SuperpositionState.from_terms([(1.0, (0.5, -0.5))])
         d = density_from_pure(s)
         assert len(d.dyads) == 1
-        assert d.dyads[0].coeff == pytest.approx(1.0, abs=1e-14)
+        assert d.coeffs[0] == pytest.approx(1.0, abs=1e-14)
         assert density_trace(d).real == pytest.approx(1.0, abs=1e-12)
 
     def test_two_term_dyad_structure(self):
@@ -191,6 +190,14 @@ class TestDensity:
         assert is_hermitian(d)
         assert density_trace(d).real == pytest.approx(1.0, abs=1e-10)
 
+    def test_empty_state(self):
+        empty = SuperpositionState(np.zeros((0, 2)))
+        one = SuperpositionState.from_terms([(1.0, (0.5,))])
+        assert tensor(empty, one).terms.shape == (0, 3)
+        assert tensor(one, empty).terms.shape == (0, 3)
+        d = density_from_pure(empty, check_norm=False)
+        assert d.dyads.shape == (0, 3) and density_trace(d) == 0
+
     def test_requires_normalized_input(self):
         s = SuperpositionState.from_terms([(2.0, (0.5,))])
         with pytest.raises(ValueError):
@@ -199,21 +206,17 @@ class TestDensity:
 
 class TestPartialTrace:
     def test_product_state_factor_removed(self):
-        from catdamp.coherent import Dyad
-
-        d = SuperpositionDensity(2, (Dyad(1.0, (0.3, 0.8), (0.3, 0.8)),))
+        d = SuperpositionDensity([(1.0, 0.3, 0.8, 0.3, 0.8)])
         out = partial_trace(d, [1])
         assert out.mode_count == 1
-        assert out.dyads[0].coeff == pytest.approx(1.0, abs=1e-14)
+        assert out.coeffs[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_cross_dyad_weighted_by_overlap(self):
-        from catdamp.coherent import Dyad
-
         b = 0.9
-        d = SuperpositionDensity(2, (Dyad(1.0, (0.3, b), (0.3, -b)),))
+        d = SuperpositionDensity([(1.0, 0.3, b, 0.3, -b)])
         out = partial_trace(d, [1])
         # <(-b)|b> = e^{-2 b^2}
-        assert out.dyads[0].coeff == pytest.approx(
+        assert out.coeffs[0] == pytest.approx(
             math.exp(-2 * b * b), abs=1e-14
         )
 
@@ -237,16 +240,14 @@ class TestApplyLoss:
         s = SuperpositionState.from_terms([(1.0, (1.2,))])
         out = apply_loss(s, 0, 0.6)
         assert len(out.dyads) == 1
-        assert out.dyads[0].ket[0] == pytest.approx(math.sqrt(0.6) * 1.2, abs=1e-14)
-        assert out.dyads[0].coeff == pytest.approx(1.0, abs=1e-14)
+        assert out.kets[0, 0] == pytest.approx(math.sqrt(0.6) * 1.2, abs=1e-14)
+        assert out.coeffs[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_eta_one_identity(self):
         rng = np.random.default_rng(17)
         d = density_from_pure(normalize(random_state(rng)))
         out = apply_loss(d, 0, 1.0)
-        for a, b in zip(d.dyads, out.dyads):
-            assert abs(a.coeff - b.coeff) < 1e-14
-            assert all(abs(x - y) < 1e-14 for x, y in zip(a.ket, b.ket))
+        assert np.max(np.abs(d.dyads - out.dyads)) < 1e-14
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(19)
@@ -261,10 +262,7 @@ class TestApplyLoss:
         two_step = canonicalize(apply_loss(apply_loss(d, 0, 0.8), 0, 0.5))
         one_step = canonicalize(apply_loss(d, 0, 0.4))
         assert len(two_step.dyads) == len(one_step.dyads)
-        for a, b in zip(two_step.dyads, one_step.dyads):
-            assert abs(a.coeff - b.coeff) < 1e-10
-            assert all(abs(x - y) < 1e-10 for x, y in zip(a.ket, b.ket))
-            assert all(abs(x - y) < 1e-10 for x, y in zip(a.bra, b.bra))
+        assert np.max(np.abs(two_step.dyads - one_step.dyads)) < 1e-10
 
     def test_environment_convention_unobservable(self):
         # routing the mode through either beamsplitter port flips the sign of
@@ -279,33 +277,23 @@ class TestApplyLoss:
         alt = canonicalize(partial_trace(density_from_pure(flipped), [2]))
         assert len(via_channel.dyads) == len(alt.dyads)
 
-        def sig(dy):
-            return tuple(
-                (round(z.real, 10), round(z.imag, 10)) for z in dy.ket + dy.bra
-            )
+        def sig(row):
+            return tuple((round(z.real, 10), round(z.imag, 10)) for z in row[1:])
 
-        ref = {sig(dy): dy.coeff for dy in via_channel.dyads}
-        for dy in alt.dyads:
-            assert abs(ref[sig(dy)] - dy.coeff) < 1e-12
+        ref = {sig(row): row[0] for row in via_channel.dyads.tolist()}
+        for row in alt.dyads.tolist():
+            assert abs(ref[sig(row)] - row[0]) < 1e-12
 
 
 class TestCanonicalize:
     def test_merges_duplicates(self):
-        from catdamp.coherent import Dyad
-
-        d = SuperpositionDensity(
-            1, (Dyad(0.25, (0.5,), (0.5,)), Dyad(0.5, (0.5,), (0.5,)))
-        )
+        d = SuperpositionDensity([(0.25, 0.5, 0.5), (0.5, 0.5, 0.5)])
         out = canonicalize(d)
         assert len(out.dyads) == 1
-        assert out.dyads[0].coeff == pytest.approx(0.75, abs=1e-14)
+        assert out.coeffs[0] == pytest.approx(0.75, abs=1e-14)
 
     def test_drops_zero_weight(self):
-        from catdamp.coherent import Dyad
-
-        d = SuperpositionDensity(
-            1, (Dyad(0.0, (0.5,), (0.5,)), Dyad(1.0, (0.7,), (0.7,)))
-        )
+        d = SuperpositionDensity([(0.0, 0.5, 0.5), (1.0, 0.7, 0.7)])
         out = canonicalize(d)
         assert len(out.dyads) == 1
 
@@ -314,10 +302,135 @@ class TestCanonicalize:
         d = density_from_pure(normalize(random_state(rng, modes=2, terms=4)))
         once = canonicalize(d)
         twice = canonicalize(once)
-        assert once == twice
+        assert np.array_equal(once.dyads, twice.dyads)
+
+    def test_tiny_amplitudes_stay_apart(self):
+        # the merge keys are the exact amplitudes: at alpha = 1e-13 the
+        # damped even three-mode state keeps its 4 dyads, where a 1e-12
+        # rounding grid folded them into 1
+        state = cat_state(mode_ladder(1e-13, 3), 1.0)
+        d = canonicalize(apply_loss(apply_loss(state, 1, 0.3), 2, 0.3))
+        assert len(d.dyads) == 4
+
+    def test_signed_zeros_merge(self):
+        d = SuperpositionDensity([(0.25, complex(-0.0, 0.5), complex(0.3, -0.0)),
+                                  (0.5, complex(0.0, 0.5), complex(0.3, 0.0))])
+        out = canonicalize(d)
+        assert len(out.dyads) == 1
+        assert out.coeffs[0] == 0.75
+        assert is_hermitian(SuperpositionDensity([(1.0, -0.0, 0.0)]))
 
 
 def test_purity_of_pure_state_is_one():
     rng = np.random.default_rng(31)
     d = density_from_pure(normalize(random_state(rng, modes=2, terms=3)))
     assert density_purity(d) == pytest.approx(1.0, abs=1e-10)
+
+
+# The per-dyad scalar loops that the table operations replaced, with cmath
+# overlaps and exact merge keys, to hold the array expressions to.  The array
+# kernel forms each exponent from the difference of the amplitudes and
+# multiplies in NumPy's complex arithmetic, so results differ in the last
+# bits: the bound 1e-13 is about 450 ulps of the O(1) values compared.
+
+
+def scalar_overlap(a, b):
+    return cmath.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + a.conjugate() * b)
+
+
+def scalar_product_overlap(amps_a, amps_b):
+    out = 1 + 0j
+    for x, y in zip(amps_a, amps_b):
+        out *= scalar_overlap(x, y)
+    return out
+
+
+def scalar_state_inner(s1, s2):
+    return sum(c1.conjugate() * c2 * scalar_product_overlap(a1, a2)
+               for c1, *a1 in s1.terms.tolist() for c2, *a2 in s2.terms.tolist())
+
+
+def split(d):
+    """(coeff, ket, bra) of each dyad of d, as Python complex numbers."""
+    m = d.mode_count
+    return [(row[0], row[1:1 + m], row[1 + m:]) for row in d.dyads.tolist()]
+
+
+def scalar_density_trace(d):
+    return sum(c * scalar_product_overlap(bra, ket) for c, ket, bra in split(d))
+
+
+def scalar_partial_trace(d, traced):
+    keep = [k for k in range(d.mode_count) if k not in traced]
+    rows = []
+    for c, ket, bra in split(d):
+        for k in traced:
+            c *= scalar_overlap(bra[k], ket[k])
+        rows.append([c] + [ket[k] for k in keep] + [bra[k] for k in keep])
+    return np.array(rows)
+
+
+def scalar_apply_loss(d, mode, eta):
+    ct, st = math.sqrt(eta), math.sqrt(1.0 - eta)
+    rows = []
+    for c, ket, bra in split(d):
+        c *= scalar_overlap(-st * bra[mode], -st * ket[mode])
+        ket[mode], bra[mode] = ct * ket[mode], ct * bra[mode]
+        rows.append([c] + ket + bra)
+    return np.array(rows)
+
+
+def scalar_canonicalize(d, tol):
+    merged = {}
+    for c, ket, bra in split(d):
+        key = tuple(ket + bra)
+        merged[key] = merged.get(key, 0j) + c
+    return np.array([[c, *key] for key, c in merged.items() if abs(c) >= tol])
+
+
+def random_density(rng, modes, terms):
+    """|s><s| of a random state whose last term repeats its first term's
+    amplitudes, so that canonicalize has dyads to merge."""
+    s = random_state(rng, modes=modes, terms=terms)
+    rows = np.array(s.terms)
+    rows[-1, 1:] = rows[0, 1:]
+    return density_from_pure(SuperpositionState(rows), check_norm=False)
+
+
+class TestTableOperationsMatchScalarLoops:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_state_inner(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        s1, s2 = random_state(rng, modes=3, terms=5), random_state(rng, modes=3, terms=4)
+        want = scalar_state_inner(s1, s2)
+        assert abs(state_inner(s1, s2) - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_density_operations(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        d = random_density(rng, modes=3, terms=4)
+        want = scalar_density_trace(d)
+        assert abs(density_trace(d) - want) <= 1e-13 * max(1.0, abs(want))
+        for traced in ([0], [1, 2]):
+            got = partial_trace(d, traced).dyads
+            assert np.max(np.abs(got - scalar_partial_trace(d, traced))) <= 1e-13
+        eta = float(rng.uniform())
+        for mode in range(3):
+            got = apply_loss(d, mode, eta).dyads
+            assert np.max(np.abs(got - scalar_apply_loss(d, mode, eta))) <= 1e-13
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_canonicalize(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        d = random_density(rng, modes=2, terms=4)
+        for tol in (0.0, 1e-14, 0.5):
+            got = canonicalize(d, tol).dyads
+            want = scalar_canonicalize(d, tol)
+            # the same additions in the same order: equal to the bit
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert len(canonicalize(d, 0.0).dyads) == 9
+
+    def test_apply_loss_on_a_state(self):
+        s = normalize(random_state(np.random.default_rng(5), modes=2, terms=3))
+        got = apply_loss(s, 1, 0.4).dyads
+        assert np.max(np.abs(got - scalar_apply_loss(density_from_pure(s), 1, 0.4))) <= 1e-13

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from catdamp.coherent import (
-    Dyad,
     SuperpositionDensity,
     SuperpositionState,
     _gram_spectra,
@@ -144,9 +143,8 @@ class TestGramSpectra:
         amps, coeffs = random_operators(np.random.default_rng(8), 6, 4, 2)
         evals = _gram_spectra(amps, coeffs)
         for g in range(6):
-            d = SuperpositionDensity(2, tuple(
-                Dyad(coeffs[g, i, j], tuple(amps[g, i]), tuple(amps[g, j]))
-                for i in range(4) for j in range(4)))
+            d = SuperpositionDensity(np.column_stack([
+                coeffs[g].ravel(), np.repeat(amps[g], 4, axis=0), np.tile(amps[g], (4, 1))]))
             assert np.sum(evals[g]) == pytest.approx(density_trace(d).real, rel=1e-12)
             assert np.sum(evals[g] ** 2) == pytest.approx(density_purity(d), rel=1e-12)
 

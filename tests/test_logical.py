@@ -157,13 +157,13 @@ def kron_projection(d, bases):
     m = d.mode_count
     mat = np.zeros((2**m, 2**m), dtype=complex)
     one = np.array([1.0 + 0j])
-    for dy in d.dyads:
+    for coeff, ket, bra in zip(d.coeffs, d.kets, d.bras):
         ket_vec = one
         bra_vec = one
         for k in range(m):
-            ket_vec = np.kron(ket_vec, np.array(bases[k].overlaps(dy.ket[k])))
-            bra_vec = np.kron(bra_vec, np.array(bases[k].overlaps(dy.bra[k])))
-        mat += dy.coeff * np.outer(ket_vec, bra_vec.conj())
+            ket_vec = np.kron(ket_vec, np.array(bases[k].overlaps(ket[k])))
+            bra_vec = np.kron(bra_vec, np.array(bases[k].overlaps(bra[k])))
+        mat += coeff * np.outer(ket_vec, bra_vec.conj())
     residual = density_trace(d).real - np.trace(mat).real
     return mat, float(residual)
 
@@ -171,11 +171,11 @@ def kron_projection(d, bases):
 def kron_coordinates(s, bases):
     one = np.array([1.0 + 0j])
     vec = np.zeros(2**s.mode_count, dtype=complex)
-    for t in s.terms:
+    for coeff, amps in zip(s.coeffs, s.amps):
         comp = one
         for k in range(s.mode_count):
-            comp = np.kron(comp, np.array(bases[k].overlaps(t.amps[k])))
-        vec = vec + t.coeff * comp
+            comp = np.kron(comp, np.array(bases[k].overlaps(amps[k])))
+        vec = vec + coeff * comp
     return vec
 
 
@@ -236,13 +236,13 @@ class TestProjectionKernelPinned:
     def test_zero_dyads(self):
         # canonicalize prunes every dyad whose weight is below its tolerance
         d = canonicalize(density_from_pure(three_mode_state(0.7)), tol=10.0)
-        assert d.dyads == ()
+        assert len(d.dyads) == 0
         bases = [make_basis(0.7)] * 3
         mat, residual = project_to_qubits(d, bases)
         assert np.array_equal(mat, np.zeros((8, 8), dtype=complex))
         assert residual == 0.0
         assert_projection_pinned(d, bases)
-        empty = SuperpositionState(2, ())
+        empty = SuperpositionState(np.zeros((0, 3)))
         assert np.array_equal(qubit_coordinates(empty, bases[:2]), np.zeros(4, dtype=complex))
 
     def test_mu_zero_basis_rejected(self):
@@ -435,19 +435,13 @@ class TestMixtureWeights:
         assert res < 1e-10
 
     def test_equal_mixture_recovered(self):
-        from catdamp.coherent import Dyad, SuperpositionDensity
+        from catdamp.coherent import SuperpositionDensity
 
         a = 0.8
         odd, even = damped_components(a, 1.0)
-        d_odd = density_from_pure(odd)
-        d_even = density_from_pure(even)
-        half = SuperpositionDensity(
-            3,
-            tuple(
-                Dyad(0.5 * dy.coeff, dy.ket, dy.bra)
-                for dy in d_odd.dyads + d_even.dyads
-            ),
-        )
+        rows = np.concatenate([density_from_pure(odd).dyads, density_from_pure(even).dyads])
+        rows[:, 0] *= 0.5
+        half = SuperpositionDensity(rows)
         w, res = mixture_weights(half, [odd, even])
         assert w[0] == pytest.approx(0.5, abs=1e-10)
         assert w[1] == pytest.approx(0.5, abs=1e-10)
@@ -456,7 +450,7 @@ class TestMixtureWeights:
     def test_maximally_mixed_on_logical_span(self):
         # I/8 over the full logical span splits evenly over the two dyads but
         # keeps most of its weight outside them
-        from catdamp.coherent import Dyad, SuperpositionDensity
+        from catdamp.coherent import SuperpositionDensity
 
         a = 0.8
         odd, even = damped_components(a, 1.0)
@@ -469,9 +463,10 @@ class TestMixtureWeights:
                 for k, bit in enumerate(bits)
             ]
             chi = tensor(tensor(parts[0], parts[1]), parts[2])
-            for dy in density_from_pure(chi).dyads:
-                dyads.append(Dyad(dy.coeff / 8.0, dy.ket, dy.bra))
-        mixed = SuperpositionDensity(3, tuple(dyads))
+            rows = np.array(density_from_pure(chi).dyads)
+            rows[:, 0] /= 8.0
+            dyads.append(rows)
+        mixed = SuperpositionDensity(np.concatenate(dyads))
         w, res = mixture_weights(mixed, [odd, even])
         assert w[0] == pytest.approx(0.5, abs=1e-10)
         assert w[1] == pytest.approx(0.5, abs=1e-10)

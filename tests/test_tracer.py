@@ -21,7 +21,7 @@ def load_tracer():
 
 def test_tracer_installs_and_uninstalls():
     originals = (formulas.ghz_damped_elements, formulas.ghz_damped_projection,
-                 formulas.coherent_overlap, logical.LogicalBasis.overlaps,
+                 coherent.coherent_overlap, logical.LogicalBasis.overlaps,
                  coherent.apply_loss)
     tracer = load_tracer().Tracer()
     tracer.install()
@@ -33,13 +33,39 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert counts["formulas.ghz_damped_projection_calls"] == 1
-    # the dyad route takes its overlaps from the scalar kernels, one call
-    # per sign, mode and amplitude
+    # the route is the generic composition per amplitude: one
+    # `LogicalBasis.overlaps` call per distinct amplitude (+-a) of each of
+    # the three modes, and overlaps from the array kernel, not the scalar one
     assert counts["logical.overlaps_calls"] == 2 * 3 * 2
-    assert counts["coherent.coherent_overlap_calls"] == 2 * 4 * 2
+    assert counts.get("coherent.coherent_overlap_calls", 0) == 0
+    assert counts["coherent.apply_loss_calls"] == 2 * 2
+    assert counts["coherent.canonicalize_calls"] == 2 * 2
     assert (formulas.ghz_damped_elements, formulas.ghz_damped_projection,
-            formulas.coherent_overlap, logical.LogicalBasis.overlaps,
+            coherent.coherent_overlap, logical.LogicalBasis.overlaps,
             coherent.apply_loss) == originals
+
+
+def test_tracer_counts_dyads():
+    # the dyad hooks read len(x.dyads) and, for a pure state, len(x.terms)
+    state = formulas.cat_state(formulas.mode_ladder(0.7, 3), -1.0)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        from_state = coherent.apply_loss(state, 1, 0.5)
+        damped = coherent.apply_loss(from_state, 2, 0.5)
+        doubled = coherent.SuperpositionDensity(np.concatenate([damped.dyads, damped.dyads]))
+        merged = coherent.canonicalize(doubled)
+        logical.project_to_qubits(merged, [logical.make_basis(0.7)] * 3)
+        counts = tracer.snapshot()
+    finally:
+        tracer.uninstall()
+    assert counts["coherent.apply_loss_calls"] == 2
+    # the state's 2 terms count as the 2^2 dyads of their density
+    assert counts["coherent.apply_loss_dyads"] == 2**2 + 4
+    assert counts["coherent.canonicalize_dyads_in"] == 8
+    assert counts["coherent.canonicalize_dyads_out"] == 4
+    assert counts["logical.project_to_qubits_calls"] == 1
+    assert counts["logical.project_to_qubits_dyads"] == 4
 
 
 def test_tracer_wraps_the_fock_oracle():
