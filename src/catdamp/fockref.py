@@ -21,7 +21,7 @@ import numpy as np
 
 from .coherent import SuperpositionDensity, SuperpositionState
 
-# dense product-space matrices above this many entries are refused
+# dense matrices, and ket or bra arrays, above this many entries are refused
 MAX_MATRIX_ENTRIES = 10_000_000
 
 
@@ -80,12 +80,16 @@ class FockDensity:
         total = int(np.prod(self.dims))
         if self.kets.shape != self.bras.shape or self.kets.shape[1:] != (total,):
             raise ValueError(f"kets and bras must both be (N, {total}) arrays")
-        if total * total > MAX_MATRIX_ENTRIES:
-            raise ValueError("product space too large for the dense reference backend")
+        if self.kets.size > MAX_MATRIX_ENTRIES:
+            raise ValueError(f"{len(self.kets)} ket-bra pairs of {total} levels are too large")
 
     @property
     def mat(self) -> np.ndarray:
-        """The dense (prod(dims), prod(dims)) matrix."""
+        """The dense (prod(dims), prod(dims)) matrix; one of more than
+        `MAX_MATRIX_ENTRIES` entries raises ValueError."""
+        total = self.kets.shape[1]
+        if total * total > MAX_MATRIX_ENTRIES:
+            raise ValueError(f"a dense matrix of {total} levels is too large")
         return self.kets.T @ self.bras.conj()
 
 

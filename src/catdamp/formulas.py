@@ -31,14 +31,15 @@ from .coherent import (
     tensor,
 )
 from .logical import (
-    XStateElements,
     _libm,
     _loss_kraus,
     _sqrt,
     _weights2,
     _x_concurrence,
+    _x_matrix,
     make_basis,
     project_to_qubits,
+    xstate_concurrence,
 )
 
 import numpy as np
@@ -200,6 +201,11 @@ def phase_flip_prob_m(alpha: float | np.ndarray, eta: float | np.ndarray, m: int
     evaluated as (s - t s_eta) / (2 s) with the terms of `_family_terms`; at
     alpha = 0, and where alpha^2 is subnormal, it is the limit (1 - eta)/2.
 
+    This is the flip weight of the odd state only.  The even state's is
+    (1 + e^{-2y} - t (1 + e^{-2 eta y})) / (2 (1 + e^{-2y})), y = 2^{m-1} a^2:
+    at m = 2, alpha 0.05, eta 0.1 it is 6.2e-6 where this gives 0.450 (the
+    dyad backend's `mixture_weights` agree with it within 1.2e-16).
+
     alpha and eta are floats, or arrays that broadcast, whose values are the
     float calls' bit for bit (exp and expm1 one libm call per element).
     """
@@ -220,6 +226,8 @@ def concurrence_m(alpha: float | np.ndarray, eta: float | np.ndarray, m: int, pa
 
     with "+" for even parity and "-" for odd, evaluated as t s_eta
     sqrt(s_eta / s) / (1 pm e^{-(1+eta) y}) with `_family_terms` and expm1.
+    Both parities take the odd state's flip weight `phase_flip_prob_m`; the
+    even state's own is different (see there).
     At alpha = 0, and where alpha^2 is subnormal, it is the limit: 0 for
     even parity, and 2 eta^{3/2} / (1 + eta) for odd, which is not the exact
     concurrence's limit sqrt(eta).  Arrays as for `phase_flip_prob_m`.
@@ -372,25 +380,15 @@ def _ghz_elements_closed(alpha, eta, sides: str):
             mixed / (8.0 * lam2 * mu2), plus2 * lamp2 * mup2 / (8.0 * lam2 * mu2))
 
 
-def _x_parts(mat: np.ndarray):
-    """X-structure elements (a, b, c, d, e, f) of an 8x8 three-mode qubit
-    matrix, or six (G,) arrays of a (G, 8, 8) stack: diagonals at |uuu>,
-    |uuv>, |vvu>, |vvv> and coherences <uuv|rho|vvu>, <uuu|rho|vvv>.
+def _x_parts(mat: np.ndarray) -> np.ndarray:
+    """The (..., 4, 4) X matrix (`logical._x_matrix`) of an 8x8 three-mode
+    qubit matrix or a (..., 8, 8) stack: its diagonal at |uuu>, |uuv>,
+    |vvu>, |vvv> and its coherences <uuv|rho|vvu> and <uuu|rho|vvv>.
     Projection float noise may leave tiny negatives on exact zeros of the
     diagonal; those above -1e-9 read as 0."""
-    a, b, c, d = (_limit_where((-1e-9 < x) & (x < 0.0), 0.0, x)
-                  for x in (mat[..., i, i].real for i in (0, 1, 6, 7)))
-    return a, b, c, d, mat[..., 1, 6], mat[..., 0, 7]
-
-
-def _x_elements(mat: np.ndarray) -> XStateElements:
-    return XStateElements(*_x_parts(mat))
-
-
-def _x_concurrences(mats: np.ndarray) -> np.ndarray:
-    """xstate_concurrence(_x_elements(mat)) of each of G matrices, bit for bit."""
-    a, b, c, d, e, f = _x_parts(mats)
-    return _x_concurrence(a, b, c, d, np.abs(e), np.abs(f))
+    diag = (mat[..., i, i].real for i in (0, 1, 6, 7))
+    return _x_matrix(*(np.where((-1e-9 < x) & (x < 0.0), 0.0, x) for x in diag),
+                     mat[..., 1, 6], mat[..., 0, 7])
 
 
 def _damped_density(
@@ -436,24 +434,23 @@ def _ghz_damped_matrices(alpha: np.ndarray, eta, sides: str) -> np.ndarray:
     return 0.5 * _damped_density(psi, np.stack([grid] * 3, axis=-1), etas, _LOSSY_MODES[sides])
 
 
-def ghz_damped_elements(alpha: float, eta: float, sides: str = "one") -> XStateElements:
-    """X-structure elements of the damped logical GHZ matrix: diagonals at
-    |uuu>, |uuv>, |vvu>, |vvv> and coherences <uuv|rho|vvu>, <uuu|rho|vvv>.
-
-    The Kraus pair of `logical._loss_kraus` applied to (|uuu> + |vvv>)/sqrt(2)
-    at any alpha >= 0, as a one-point call of the route behind
-    `ghz_concurrence`; at alpha = 0 its X concurrence is
-    `ghz_concurrence_limit` to one ulp.  `validate` holds it to the stable
-    closed forms of `_ghz_elements_closed`.
+def ghz_damped_elements(alpha, eta, sides: str = "one") -> np.ndarray:
+    """The 4x4 X matrix (`_x_parts`) of the damped logical GHZ state: the
+    Kraus pair of `logical._loss_kraus` applied to (|uuu> + |vvv>)/sqrt(2)
+    at any alpha >= 0; at alpha = 0 its X concurrence is
+    `ghz_concurrence_limit` to one ulp.  Floats give one matrix, and 1-D
+    arrays that broadcast a (G, 4, 4) stack, row g equal to the float call
+    at element g bit for bit.  `validate` holds it to the stable closed
+    forms of `_ghz_elements_closed`.
     """
-    return _x_elements(_ghz_damped_matrices(np.array([alpha], dtype=float), eta, sides)[0])
+    x = _x_parts(_ghz_damped_matrices(np.atleast_1d(np.asarray(alpha, dtype=float)), eta, sides))
+    return x if np.ndim(alpha) or np.ndim(eta) else x[0]
 
 
 def ghz_concurrence(alpha, eta, sides: str = "one"):
-    """`xstate_concurrence(ghz_damped_elements(alpha, eta, sides))` bit for
-    bit in one call of the Kraus route: a float, or an array for 1-D arrays."""
-    values = _x_concurrences(_ghz_damped_matrices(np.atleast_1d(alpha), eta, sides))
-    return values if np.ndim(alpha) or np.ndim(eta) else float(values[0])
+    """`xstate_concurrence(ghz_damped_elements(alpha, eta, sides))`: a
+    float, or an array for 1-D arrays."""
+    return xstate_concurrence(ghz_damped_elements(alpha, eta, sides))
 
 
 def damped_state_projection(
@@ -515,18 +512,10 @@ def damped_state_projection(
     return mat, residual
 
 
-def damped_state_elements(
-    alpha: float, eta: float, theta: float = math.pi, sides: str = "two"
-) -> XStateElements:
-    """X-structure elements of the damped three-mode state, read off the same
-    matrix positions as for the damped GHZ."""
-    return _x_elements(damped_state_projection(alpha, eta, theta, sides)[0])
-
-
 def damped_concurrence(alpha, eta, theta=math.pi, sides: str = "two"):
-    """Fig 3's `direct_*` value, `xstate_concurrence(damped_state_elements(
-    alpha, ...))` bit for bit, through one `damped_state_projection` call
-    over the points with alpha != 0: floats give a float, and arrays that
+    """Fig 3's `direct_*` value, the `xstate_concurrence` of the X matrix
+    (`_x_parts`) of `damped_state_projection`, through one call of each over
+    the points with alpha != 0: floats give a float, and arrays that
     broadcast to one dimension an array.  At alpha = 0 the state is the
     vacuum, or vanishes (cos(theta) = -1); the value there is 0, its limit.
 
@@ -542,7 +531,7 @@ def damped_concurrence(alpha, eta, theta=math.pi, sides: str = "two"):
     nonzero = alphas != 0.0
     if nonzero.any():
         mats, _ = damped_state_projection(alphas[nonzero], etas[nonzero], thetas[nonzero], sides)
-        out[nonzero] = _x_concurrences(mats)
+        out[nonzero] = xstate_concurrence(_x_parts(mats))
     return out if out.ndim else float(out)
 
 

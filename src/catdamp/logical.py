@@ -215,68 +215,79 @@ def qubit_coordinates(
     return vec
 
 
-@dataclass(frozen=True)
-class XStateElements:
-    """The six independent entries of a two-qubit X-structured density matrix:
-    diagonal (a, b, c, d) and anti-diagonal coherences e (inner) and f (outer).
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: complex
-    f: complex
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            if getattr(self, name) < -1e-12:
-                raise ValueError(f"diagonal element {name} is negative beyond tolerance")
-        if self.a + self.b + self.c + self.d > 1.0 + 1e-10:
-            raise ValueError("diagonal weight exceeds 1")
-
-    def to_matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.a, self.b, self.c, self.d
-        m[1, 2], m[2, 1] = self.e, np.conjugate(self.e)
-        m[0, 3], m[3, 0] = self.f, np.conjugate(self.f)
-        return m
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.to_matrix()).min())
-
-
 # sigma_y (x) sigma_y
 _SPIN_FLIP = np.array(
     [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
 )
 
 
-def wootters_concurrence(rho: np.ndarray) -> float:
+def _two_qubit(rho) -> np.ndarray:
+    """rho as a complex (..., 4, 4) array: one two-qubit matrix or a stack."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError("expected a 4x4 density matrix or a (..., 4, 4) stack")
+    return rho
+
+
+def _one_or_stack(values):
+    """A float for one matrix, the (...,) array for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def wootters_concurrence(rho: np.ndarray):
     """Two-qubit mixed-state concurrence (Wootters 1998): with rho = V V^dag
     from one eigendecomposition, max(0, s1 - s2 - s3 - s4) over the singular
     values of tau = V^T (sigma_y x sigma_y) V.  These are the square roots of
     the eigenvalues of rho rho~, found without taking a square root of a
-    rounded zero."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("expected a 4x4 density matrix")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
+    rounded zero.
+
+    rho is a 4x4 matrix, which gives a float, or a (..., 4, 4) stack, which
+    gives the (...,) array; `eigh` and `svd` run once on the stack, and row g
+    equals the one-matrix call at rho[g] bit for bit.
+    """
+    rho = _two_qubit(rho)
+    if np.any(np.abs(rho - np.swapaxes(rho, -1, -2).conj()) > 1e-8):
         raise ValueError("density matrix must be Hermitian")
     evals, vecs = np.linalg.eigh(rho)
     # eigh sorts the eigenvalues in ascending order
-    if evals[0] < -PSD_TOL:
+    if np.any(evals[..., 0] < -PSD_TOL):
         raise ValueError("density matrix must be positive semidefinite")
-    v = vecs * np.sqrt(np.maximum(evals, 0.0))
-    s = np.linalg.svd(v.T @ _SPIN_FLIP @ v, compute_uv=False)
-    return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
+    v = vecs * np.sqrt(np.maximum(evals, 0.0))[..., None, :]
+    s = np.linalg.svd(np.swapaxes(v, -1, -2) @ _SPIN_FLIP @ v, compute_uv=False)
+    return _one_or_stack(np.maximum(0.0, s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3]))
 
 
-def xstate_concurrence(x: XStateElements) -> float:
+def xstate_concurrence(rho: np.ndarray):
     """Closed-form concurrence of an X-structured two-qubit state,
-    2 max(0, |e| - sqrt(a d), |f| - sqrt(b c)).
+    2 max(0, |e| - sqrt(a d), |f| - sqrt(b c)), with (a, b, c, d) the
+    diagonal of rho, e = rho[1, 2] and f = rho[0, 3]; no other entry is read.
+
+    rho is a 4x4 matrix or a (..., 4, 4) stack, as for `wootters_concurrence`;
+    |e| and |f| are libm's hypot per element, as Python's abs takes them.  A
+    diagonal entry below -1e-12, or a diagonal weight above 1 + 1e-10, in
+    any matrix raises ValueError.
     """
-    return _x_concurrence(x.a, x.b, x.c, x.d, abs(x.e), abs(x.f))
+    rho = _two_qubit(rho)
+    a, b, c, d = (rho[..., i, i].real for i in range(4))
+    if any(np.any(x < -1e-12) for x in (a, b, c, d)):
+        raise ValueError("diagonal element is negative beyond tolerance")
+    if np.any(a + b + c + d > 1.0 + 1e-10):
+        raise ValueError("diagonal weight exceeds 1")
+    e_abs, f_abs = _libm(abs, rho[..., 1, 2]), _libm(abs, rho[..., 0, 3])
+    return _one_or_stack(_x_concurrence(a, b, c, d, e_abs, f_abs))
+
+
+def _x_matrix(a, b, c, d, e, f) -> np.ndarray:
+    """The (..., 4, 4) X matrix with diagonal (a, b, c, d), e at (1, 2), f at
+    (0, 3) and their conjugates below; the six are floats or arrays."""
+    e, f = np.asarray(e, dtype=complex), np.asarray(f, dtype=complex)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (a, b, c, d, e, f)))
+    x = np.zeros(shape + (4, 4), dtype=complex)
+    for i, diag in enumerate((a, b, c, d)):
+        x[..., i, i] = diag
+    x[..., 1, 2], x[..., 2, 1] = e, e.conj()
+    x[..., 0, 3], x[..., 3, 0] = f, f.conj()
+    return x
 
 
 def _sqrt(x):

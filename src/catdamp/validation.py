@@ -40,15 +40,14 @@ from .formulas import (
     concurrence_pure,
     damped_concurrence,
     damped_concurrence_bound,
-    ghz_damped_elements,
     ghz_damped_projection,
     ghz_state,
     mode_ladder,
     phase_flip_prob_m,
 )
 from .logical import (
-    XStateElements,
     _pure_concurrences,
+    _x_matrix,
     make_basis,
     mixture_weights,
     qubit_coordinates,
@@ -176,16 +175,16 @@ def check_projection_faithfulness(rng) -> float:
 
 
 def check_xstate_wootters_agreement(rng) -> float:
-    worst = 0.0
+    elements = []
     for _ in range(1000):
         diag = rng.uniform(0.05, 1.0, size=4)
         diag /= diag.sum()
         a, b, c, d = (float(x) for x in diag)
         e = float(rng.uniform()) * math.sqrt(b * c) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         f = float(rng.uniform()) * math.sqrt(a * d) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        x = XStateElements(a=a, b=b, c=c, d=d, e=e, f=f)
-        worst = max(worst, abs(xstate_concurrence(x) - wootters_concurrence(x.to_matrix())))
-    return worst
+        elements.append((a, b, c, d, e, f))
+    x = _x_matrix(*np.array(elements).T)
+    return float(np.max(np.abs(xstate_concurrence(x) - wootters_concurrence(x))))
 
 
 def check_pure_concurrence_closed_form(rng) -> float:
@@ -244,17 +243,15 @@ def check_phase_flip_gap_positive(rng) -> float:
 
 
 def check_ghz_diagonal_weight(rng) -> float:
-    a, b, c, d, _, _ = _x_parts(_ghz_damped_matrices(PAIR_ALPHAS, PAIR_ETAS, "one"))
-    return float(np.max(np.abs(a + b + c + d - 1.0)))
+    x = _x_parts(_ghz_damped_matrices(PAIR_ALPHAS, PAIR_ETAS, "one")).real
+    return float(np.max(np.abs(x[:, 0, 0] + x[:, 1, 1] + x[:, 2, 2] + x[:, 3, 3] - 1.0)))
 
 
 def check_ghz_psd(rng) -> float:
     worst = 0.0
-    for alpha in ALPHA_GRID:
-        for eta in ETA_GRID:
-            for sides in ("one", "two"):
-                x = ghz_damped_elements(alpha, eta, sides)
-                worst = max(worst, -min(x.min_eigenvalue(), 0.0))
+    for sides in ("one", "two"):
+        x = _x_parts(_ghz_damped_matrices(PAIR_ALPHAS, PAIR_ETAS, sides))
+        worst = max(worst, -min(float(np.linalg.eigvalsh(x).min()), 0.0))
     return worst
 
 
@@ -268,8 +265,8 @@ def check_ghz_projection_residual(rng) -> float:
 
 
 def check_ghz_lossless_reduction(rng) -> float:
-    a, b, c, d, e, f = _x_parts(_ghz_damped_matrices(np.array([0.3, 0.8, 1.5]), 1.0, "one"))
-    return float(np.max(np.abs([a - 0.5, d - 0.5, np.abs(f) - 0.5, b, c, np.abs(e)])))
+    x = _x_parts(_ghz_damped_matrices(np.array([0.3, 0.8, 1.5]), 1.0, "one"))
+    return float(np.max(np.abs(x - _x_matrix(0.5, 0.0, 0.0, 0.5, 0.0, 0.5))))
 
 
 def check_ghz_closed_form_agreement(rng) -> float:
@@ -281,8 +278,7 @@ def check_ghz_closed_form_agreement(rng) -> float:
             closed = _ghz_elements_closed(alphas, eta, sides)
             for mats in (_ghz_damped_matrices(alphas, eta, sides),
                          ghz_damped_projection(alphas, eta, sides)[0]):
-                for exact, want in zip(_x_parts(mats), closed):
-                    worst = max(worst, float(np.max(np.abs(exact - want))))
+                worst = max(worst, float(np.max(np.abs(_x_parts(mats) - _x_matrix(*closed)))))
     return worst
 
 

@@ -13,16 +13,17 @@ from catdamp.figures import write_csv
 from catdamp.formulas import (
     ChannelParams,
     _ghz_elements_closed,
+    _x_parts,
     concurrence_m,
     concurrence_pure,
     damped_concurrence_bound,
-    damped_state_elements,
+    damped_state_projection,
     ghz_concurrence_limit,
     ghz_damped_elements,
     phase_flip_prob,
     phase_flip_prob_m,
 )
-from catdamp.logical import XStateElements, xstate_concurrence
+from catdamp.logical import _x_matrix, xstate_concurrence
 from catdamp import sweep
 from catdamp.sweep import SweepConfig, run_sweep
 
@@ -267,7 +268,7 @@ def _bound(a, e, t, p):
     of the GHZ closed forms and `concurrence_pure`."""
     if a == 0.0:
         return ghz_concurrence_limit(e, p.sides) * (1.0 if math.cos(t) == -1.0 else 0.0)
-    ghz = xstate_concurrence(XStateElements(*_ghz_elements_closed(a, e, p.sides)))
+    ghz = xstate_concurrence(_x_matrix(*_ghz_elements_closed(a, e, p.sides)))
     return ghz * concurrence_pure(a, t)
 
 
@@ -278,8 +279,8 @@ PER_POINT = {
     "concurrence_odd": lambda a, e, t, p: concurrence_m(a, e, p.m, "odd"),
     "concurrence_even": lambda a, e, t, p: concurrence_m(a, e, p.m, "even"),
     "ghz_concurrence": lambda a, e, t, p: xstate_concurrence(ghz_damped_elements(a, e, p.sides)),
-    "damped_concurrence": lambda a, e, t, p: (
-        0.0 if a == 0.0 else xstate_concurrence(damped_state_elements(a, e, t, p.sides))),
+    "damped_concurrence": lambda a, e, t, p: 0.0 if a == 0.0 else xstate_concurrence(
+        _x_parts(damped_state_projection(a, e, t, p.sides)[0])),
     "concurrence_bound": _bound,
 }
 

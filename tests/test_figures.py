@@ -12,14 +12,15 @@ from catdamp.figures import build_figure
 from catdamp.formulas import (
     ChannelParams,
     _ghz_elements_closed,
+    _x_parts,
     concurrence_m,
     concurrence_pure,
-    damped_state_elements,
+    damped_state_projection,
     ghz_concurrence_limit,
     phase_flip_prob,
     phase_flip_prob_m,
 )
-from catdamp.logical import XStateElements, xstate_concurrence
+from catdamp.logical import _x_matrix, xstate_concurrence
 from catdamp.sweep import SweepConfig, run_sweep
 
 ALPHAS = [float(a) for a in np.linspace(0.0, 4.0, 401)]
@@ -30,14 +31,14 @@ def bound(alpha, eta, sides):
     # concurrence; at alpha = 0 the factor's limit times the pure limit, 1
     if alpha == 0.0:
         return ghz_concurrence_limit(eta, sides)
-    factor = xstate_concurrence(XStateElements(*_ghz_elements_closed(alpha, eta, sides)))
+    factor = xstate_concurrence(_x_matrix(*_ghz_elements_closed(alpha, eta, sides)))
     return factor * concurrence_pure(alpha, math.pi)
 
 
-def direct(alpha, eta, sides):
+def direct(alpha, eta, sides, theta=math.pi):
     if alpha == 0.0:
         return 0.0
-    return xstate_concurrence(damped_state_elements(alpha, eta, math.pi, sides))
+    return xstate_concurrence(_x_parts(damped_state_projection(alpha, eta, theta, sides)[0]))
 
 
 def fig3_columns():
@@ -112,7 +113,7 @@ def test_damped_concurrence_is_one_grid_call(monkeypatch, sides):
     monkeypatch.undo()
     assert rows[0][:2] == [0.0, 0.0]
     for alpha, value, *_ in rows[1:]:
-        assert value == xstate_concurrence(damped_state_elements(alpha, 0.3, 1.0, sides))
+        assert value == direct(alpha, 0.3, sides, theta=1.0)
 
 
 @pytest.mark.parametrize("fig,keyword,value", [

@@ -11,6 +11,7 @@ from catdamp.coherent import (
     density_from_pure,
     normalize,
 )
+from catdamp import fockref
 from catdamp.fockref import (
     FockDensity,
     apply_channel,
@@ -209,6 +210,31 @@ class TestCrossBackend:
         assert relative_error(start.kets[0], kron_state_to_fock(g, n)) < 1e-15
 
     def test_memory_guard(self):
+        # the pairs of a three-mode cat at 61 levels are 4 x 61^3 entries;
+        # its dense matrix, 61^6, is refused where `mat` would form it
         s = cat_state(1.0, 1.0, modes=3)
+        rho = density_to_fock(density_from_pure(s), 60)
+        assert rho.kets.shape == (4, 61**3)
         with pytest.raises(ValueError, match="too large"):
-            density_to_fock(density_from_pure(s), 60)
+            rho.mat
+
+    def test_memory_guard_on_pair_arrays(self, monkeypatch):
+        monkeypatch.setattr(fockref, "MAX_MATRIX_ENTRIES", 100)
+        FockDensity((10, 10), np.ones((1, 100)), np.ones((1, 100)))
+        with pytest.raises(ValueError, match="too large"):
+            FockDensity((10, 10), np.ones((2, 100)), np.ones((2, 100)))
+        rho = FockDensity((10,), np.ones((10, 10)), np.ones((10, 10)))
+        with pytest.raises(ValueError, match="too large"):
+            apply_channel(rho, 0, damping_kraus(0.5, 9))
+
+    def test_pairs_beyond_the_dense_limit(self):
+        # a two-mode pair at 58 levels per mode: its dense matrix, 58^4
+        # entries, is over the limit, but the pair and its loss are not
+        s = cat_state(1.0, -1.0)
+        rho = fock_density_from_vector(state_to_fock(s, 57), (58, 58))
+        damped = apply_channel(rho, 1, damping_kraus(0.5, 57))
+        assert damped.kets.shape == (58, 58 * 58)
+        trace = np.einsum("nk,nk->", damped.kets, damped.bras.conj()).real
+        assert trace == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="too large"):
+            damped.mat

@@ -22,12 +22,11 @@ from catdamp.formulas import (
     _damped_density,
     _ghz_damped_matrices,
     _ghz_elements_closed,
-    _x_elements,
+    _x_parts,
     cat_state,
     concurrence_m,
     concurrence_pure,
     damped_concurrence_bound,
-    damped_state_elements,
     damped_state_projection,
     ghz_concurrence_limit,
     ghz_damped_elements,
@@ -38,8 +37,8 @@ from catdamp.formulas import (
     phase_flip_prob_m,
 )
 from catdamp.logical import (
-    XStateElements,
     _loss_kraus,
+    _x_matrix,
     make_basis,
     project_to_qubits,
     wootters_concurrence,
@@ -280,36 +279,34 @@ class TestGhzPipeline:
 
     def test_lossless_reduces_to_ghz(self):
         x = ghz_damped_elements(0.9, 1.0, "one")
-        assert x.a == pytest.approx(0.5, abs=1e-12)
-        assert x.d == pytest.approx(0.5, abs=1e-12)
-        assert abs(x.f) == pytest.approx(0.5, abs=1e-12)
-        assert abs(x.b) < 1e-12 and abs(x.c) < 1e-12 and abs(x.e) < 1e-12
+        assert np.max(np.abs(x - _x_matrix(0.5, 0.0, 0.0, 0.5, 0.0, 0.5))) < 1e-12
 
     def test_one_sided_closed_form(self):
         # pipeline against the analytic element table
         for a in (0.3, 0.8, 1.5):
             for eta in (0.2, 0.6, 0.9):
                 x = ghz_damped_elements(a, eta, "one")
+                (xa, xb, xc, xd), xe, xf = np.diag(x).real, x[1, 2], x[0, 3]
                 t = math.exp(-2 * (1 - eta) * a * a)
                 lam2 = (1 + math.exp(-2 * a * a)) / 2
                 mu2 = (1 - math.exp(-2 * a * a)) / 2
                 lamp2 = (1 + math.exp(-2 * eta * a * a)) / 2
                 mup2 = (1 - math.exp(-2 * eta * a * a)) / 2
-                assert x.a == pytest.approx((1 + t) * lamp2 / (4 * lam2), abs=1e-12)
-                assert x.b == pytest.approx((1 - t) * mup2 / (4 * lam2), abs=1e-12)
-                assert x.c == pytest.approx((1 - t) * lamp2 / (4 * mu2), abs=1e-12)
-                assert x.d == pytest.approx((1 + t) * mup2 / (4 * mu2), abs=1e-12)
+                assert xa == pytest.approx((1 + t) * lamp2 / (4 * lam2), abs=1e-12)
+                assert xb == pytest.approx((1 - t) * mup2 / (4 * lam2), abs=1e-12)
+                assert xc == pytest.approx((1 - t) * lamp2 / (4 * mu2), abs=1e-12)
+                assert xd == pytest.approx((1 + t) * mup2 / (4 * mu2), abs=1e-12)
                 lm = math.sqrt(lam2 * mu2)
                 lmp = math.sqrt(lamp2 * mup2)
-                assert abs(x.e) == pytest.approx((1 - t) * lmp / (4 * lm), abs=1e-12)
-                assert abs(x.f) == pytest.approx((1 + t) * lmp / (4 * lm), abs=1e-12)
+                assert abs(xe) == pytest.approx((1 - t) * lmp / (4 * lm), abs=1e-12)
+                assert abs(xf) == pytest.approx((1 + t) * lmp / (4 * lm), abs=1e-12)
 
     def test_one_sided_unit_diagonal_weight(self):
         for a in (0.3, 1.0, 2.0):
             for eta in (0.1, 0.5, 0.9):
                 x = ghz_damped_elements(a, eta, "one")
-                assert x.a + x.b + x.c + x.d == pytest.approx(1.0, abs=1e-10)
-                assert x.min_eigenvalue() > -1e-9
+                assert np.trace(x).real == pytest.approx(1.0, abs=1e-10)
+                assert np.linalg.eigvalsh(x).min() > -1e-9
 
     def test_projection_residual_small(self):
         for sides in ("one", "two"):
@@ -319,8 +316,8 @@ class TestGhzPipeline:
     def test_strong_loss_kills_coherence(self):
         # e, f shrink with the damped-basis weight mu' ~ sqrt(eta) alpha
         levels = [
-            max(abs(ghz_damped_elements(1.2, eta, "one").e),
-                abs(ghz_damped_elements(1.2, eta, "one").f))
+            max(abs(ghz_damped_elements(1.2, eta, "one")[1, 2]),
+                abs(ghz_damped_elements(1.2, eta, "one")[0, 3]))
             for eta in (1e-2, 1e-4, 1e-6)
         ]
         assert levels[0] > levels[1] > levels[2]
@@ -339,19 +336,18 @@ class TestGhzPipeline:
         for sides in ("one", "two"):
             for a in (0.2, 0.5, 1.0, 2.0):
                 for eta in (0.1, 0.5, 0.9):
-                    p = _x_elements(ghz_damped_projection(a, eta, sides)[0])
-                    c = XStateElements(*_ghz_elements_closed(a, eta, sides))
-                    for name in ("a", "b", "c", "d", "e", "f"):
-                        assert abs(getattr(p, name) - getattr(c, name)) < 1e-11
+                    p = _x_parts(ghz_damped_projection(a, eta, sides)[0])
+                    c = _x_matrix(*_ghz_elements_closed(a, eta, sides))
+                    assert np.max(np.abs(p - c)) < 1e-11
 
 
 class TestDampedStateElements:
     def test_cross_parity_coherences_vanish(self):
         # exact channel output is block diagonal across logical parity
         for sides in ("one", "two"):
-            x = damped_state_elements(0.9, 0.5, math.pi, sides)
-            assert abs(x.e) < 1e-12
-            assert abs(x.f) < 1e-12
+            x = _x_parts(damped_state_projection(0.9, 0.5, math.pi, sides)[0])
+            assert abs(x[1, 2]) < 1e-12
+            assert abs(x[0, 3]) < 1e-12
             assert xstate_concurrence(x) == 0.0
 
     def test_projection_residual_small(self):
@@ -476,7 +472,7 @@ class TestDampedStateGridKernel:
                         assert value == 0.0
                     else:
                         assert value == xstate_concurrence(
-                            damped_state_elements(alpha, eta, math.pi, sides)
+                            _x_parts(damped_state_projection(alpha, eta, math.pi, sides)[0])
                         )
 
 
@@ -543,10 +539,8 @@ class TestGhzDyadKernel:
             for eta in (0.05, 0.3, 0.9, 1.0):
                 mats, _ = ghz_damped_projection(grid, eta, sides)
                 for alpha, mat in zip(grid, mats):
-                    exact = _x_elements(mat)
                     kraus = ghz_damped_elements(float(alpha), eta, sides)
-                    for name in ("a", "b", "c", "d", "e", "f"):
-                        assert abs(getattr(exact, name) - getattr(kraus, name)) < 1e-12
+                    assert np.max(np.abs(_x_parts(mat) - kraus)) < 1e-12
 
     def test_rejects_overflowing_amplitude(self):
         # 2 alpha^2 overflows; abs(alpha) ** 2 once raised a raw OverflowError
@@ -661,18 +655,28 @@ class TestKrausRoute:
         # from alpha = 0.2 up, where the dyad expansion is well conditioned
         for alpha in np.geomspace(0.2, 4.0, 30):
             x = ghz_damped_elements(float(alpha), eta, sides)
-            p = _x_elements(ghz_damped_projection(float(alpha), eta, sides)[0])
-            for name in ("a", "b", "c", "d", "e", "f"):
-                assert abs(getattr(x, name) - getattr(p, name)) < 1e-12, (alpha, name)
+            p = _x_parts(ghz_damped_projection(float(alpha), eta, sides)[0])
+            assert np.max(np.abs(x - p)) < 1e-12, alpha
 
     @pytest.mark.parametrize("sides", ("one", "two"))
     def test_ghz_matches_closed_forms_at_small_alpha(self, sides):
         for alpha in np.geomspace(1e-4, 0.19, 40):
             for eta in (0.05, 0.3, 0.5, 0.9, 1.0):
                 x = ghz_damped_elements(float(alpha), eta, sides)
-                c = XStateElements(*_ghz_elements_closed(float(alpha), eta, sides))
-                for name in ("a", "b", "c", "d", "e", "f"):
-                    assert abs(getattr(x, name) - getattr(c, name)) <= 1e-15, (alpha, eta)
+                c = _x_matrix(*_ghz_elements_closed(float(alpha), eta, sides))
+                assert np.max(np.abs(x - c)) <= 1e-15, (alpha, eta)
+
+    @pytest.mark.parametrize("sides", ("one", "two"))
+    def test_ghz_elements_stack_equals_float_calls(self, sides):
+        alphas = np.array([0.0, 1e-3, 0.4, 1.1, 27.0])
+        etas = np.array([0.05, 0.37, 0.5, 0.9, 1.0])
+        for alpha, eta in ((alphas, 0.37), (1.1, etas), (alphas, etas)):
+            stack = ghz_damped_elements(alpha, eta, sides)
+            assert stack.shape == (5, 4, 4)
+            for g, x in enumerate(stack):
+                a = alpha[g] if np.ndim(alpha) else alpha
+                e = eta[g] if np.ndim(eta) else eta
+                assert np.array_equal(x, ghz_damped_elements(float(a), float(e), sides))
 
     @pytest.mark.parametrize("sides", ("one", "two"))
     def test_ghz_concurrence_at_zero_amplitude(self, sides):
@@ -693,9 +697,9 @@ class TestKrausRoute:
                 assert np.isfinite(mat).all() and math.isfinite(residual)
                 assert abs(np.trace(mat).real - 1.0) < 1e-14
                 x = ghz_damped_elements(alpha, eta, sides)
-                assert all(math.isfinite(abs(getattr(x, n))) for n in "abcdef")
+                assert np.isfinite(x).all()
                 if sides == "one":
-                    assert x.a + x.b + x.c + x.d == pytest.approx(1.0, abs=1e-14)
+                    assert np.trace(x).real == pytest.approx(1.0, abs=1e-14)
 
     def test_fig3_direct_columns_are_exact_zeros(self):
         header, rows = build_figure(3)
@@ -726,7 +730,7 @@ class TestBound:
                 for eta in (0.1, 0.3, 0.5, 0.7, 0.9):
                     bound = damped_concurrence_bound(a, eta, math.pi, sides)
                     direct = xstate_concurrence(
-                        damped_state_elements(a, eta, math.pi, sides)
+                        _x_parts(damped_state_projection(a, eta, math.pi, sides)[0])
                     )
                     assert bound - direct >= -1e-9
 
@@ -778,6 +782,4 @@ def test_xstate_matches_wootters_on_ghz_matrix():
     # inside the Wootters route to ~1e-8
     for a, eta in ((0.5, 0.3), (1.0, 0.7), (1.5, 0.9)):
         x = ghz_damped_elements(a, eta, "one")
-        assert xstate_concurrence(x) == pytest.approx(
-            wootters_concurrence(x.to_matrix()), abs=1e-7
-        )
+        assert xstate_concurrence(x) == pytest.approx(wootters_concurrence(x), abs=1e-7)

@@ -17,7 +17,7 @@ from catdamp.coherent import (
     tensor,
 )
 from catdamp.logical import (
-    XStateElements,
+    _x_matrix,
     make_basis,
     mixture_weights,
     project_to_qubits,
@@ -55,13 +55,20 @@ def sqrtm_concurrence(rho):
     return max(0.0, nu[0] - nu[1] - nu[2] - nu[3])
 
 
-def random_x_elements(rng):
+def random_x_matrix(rng):
     diag = rng.uniform(0.05, 1.0, size=4)
     diag /= diag.sum()
     a, b, c, d = diag
     e = rng.uniform() * math.sqrt(b * c) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     f = rng.uniform() * math.sqrt(a * d) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    return XStateElements(a=a, b=b, c=c, d=d, e=e, f=f)
+    return _x_matrix(a, b, c, d, e, f)
+
+
+def random_density(rng):
+    """A random full-rank 4x4 density matrix, G G^dag / tr."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 class TestBasis:
@@ -359,32 +366,106 @@ class TestWootters:
         bad = np.diag([1.0, 0.5, -0.5, 0.0]).astype(complex)
         with pytest.raises(ValueError):
             wootters_concurrence(bad)
+        # a bad row of a stack fails the whole call
+        stack = np.stack([np.eye(4) / 4, bad, np.eye(4) / 4])
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            wootters_concurrence(stack)
+        skew = np.eye(4, dtype=complex) / 4
+        skew[0, 1] = 0.1
+        with pytest.raises(ValueError, match="Hermitian"):
+            wootters_concurrence(np.stack([np.eye(4) / 4, skew]))
+        with pytest.raises(ValueError, match="4x4"):
+            wootters_concurrence(np.eye(3))
+
+    def test_stack_equals_one_matrix_calls(self):
+        # random full-rank densities, the X states of `validate` and pure states
+        rng = np.random.default_rng(5)
+        psis = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
+        psis /= np.linalg.norm(psis, axis=1)[:, None]
+        stack = np.concatenate([
+            [random_density(rng) for _ in range(200)],
+            [random_x_matrix(rng) for _ in range(200)],
+            psis[:, :, None] * psis[:, None, :].conj(),
+        ])
+        got = wootters_concurrence(stack)
+        assert got.shape == (420,)
+        assert np.array_equal(got, [wootters_concurrence(rho) for rho in stack])
+        assert isinstance(wootters_concurrence(stack[0]), float)
+        # any leading shape, and an empty stack
+        assert np.array_equal(wootters_concurrence(stack.reshape(20, 21, 4, 4)),
+                              got.reshape(20, 21))
+        assert wootters_concurrence(stack[:0]).shape == (0,)
 
 
 class TestXStateConcurrence:
     def test_diagonal_state(self):
-        x = XStateElements(a=0.25, b=0.25, c=0.25, d=0.25, e=0.0, f=0.0)
+        x = _x_matrix(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
         assert xstate_concurrence(x) == 0.0
 
     def test_maximally_entangled(self):
-        x = XStateElements(a=0.5, b=0.0, c=0.0, d=0.5, e=0.0, f=0.5)
+        x = _x_matrix(0.5, 0.0, 0.0, 0.5, 0.0, 0.5)
         assert xstate_concurrence(x) == pytest.approx(1.0, abs=1e-14)
+
+    def test_reads_only_the_x_entries(self):
+        # entries off the X are not read, nor the lower triangle's conjugates
+        x = _x_matrix(0.5, 0.0, 0.0, 0.5, 0.0, 0.5)
+        noise = np.full((4, 4), 0.3 + 0.2j)
+        noise[[0, 1, 2, 3, 1, 0], [0, 1, 2, 3, 2, 3]] = 0.0
+        assert xstate_concurrence(x + noise) == xstate_concurrence(x)
 
     def test_matches_wootters_on_random_x_states(self):
         rng = np.random.default_rng(77)
         worst = 0.0
         for _ in range(1000):
-            x = random_x_elements(rng)
+            x = random_x_matrix(rng)
             got = xstate_concurrence(x)
-            ref = wootters_concurrence(x.to_matrix())
+            ref = wootters_concurrence(x)
             worst = max(worst, abs(got - ref))
         assert worst < 1e-10
 
+    def test_stack_equals_one_matrix_calls(self):
+        # complex coherences: |e| and |f| are libm's hypot per element, as
+        # Python's abs takes them; NumPy's array abs differs from it in the
+        # last bit on about a third of these
+        rng = np.random.default_rng(78)
+        stack = np.array([random_x_matrix(rng) for _ in range(1000)])
+        assert np.iscomplex(stack[:, 1, 2]).all() and np.iscomplex(stack[:, 0, 3]).all()
+        got = xstate_concurrence(stack)
+        assert got.shape == (1000,)
+        assert np.array_equal(got, [xstate_concurrence(x) for x in stack])
+        scalar = []
+        for x in stack.tolist():
+            a, b, c, d = (x[i][i].real for i in range(4))
+            inner = abs(x[1][2]) - math.sqrt(max(a * d, 0.0))
+            outer = abs(x[0][3]) - math.sqrt(max(b * c, 0.0))
+            scalar.append(2.0 * max(0.0, inner, outer))
+        assert np.array_equal(got, scalar)
+        assert isinstance(xstate_concurrence(stack[0]), float)
+        assert np.array_equal(xstate_concurrence(stack.reshape(10, 100, 4, 4)),
+                              got.reshape(10, 100))
+
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            XStateElements(a=-0.1, b=0.4, c=0.4, d=0.3, e=0.0, f=0.0)
-        with pytest.raises(ValueError):
-            XStateElements(a=0.5, b=0.5, c=0.5, d=0.5, e=0.0, f=0.0)
+        with pytest.raises(ValueError, match="negative"):
+            xstate_concurrence(_x_matrix(-0.1, 0.4, 0.4, 0.3, 0.0, 0.0))
+        with pytest.raises(ValueError, match="exceeds 1"):
+            xstate_concurrence(_x_matrix(0.5, 0.5, 0.5, 0.5, 0.0, 0.0))
+        with pytest.raises(ValueError, match="4x4"):
+            xstate_concurrence(np.eye(2))
+        # the tolerances: -1e-12 and 1 + 1e-10 still pass
+        assert xstate_concurrence(_x_matrix(-1e-12, 0.5, 0.5, 0.0, 0.0, 0.0)) == 0.0
+        assert xstate_concurrence(_x_matrix(0.25, 0.25, 0.25, 0.25 + 1e-10, 0.0, 0.0)) == 0.0
+
+    def test_invariants_enforced_on_each_row_of_a_stack(self):
+        good = _x_matrix(0.25, 0.25, 0.25, 0.25, 0.0, 0.1)
+        for bad, match in ((_x_matrix(0.5, 0.5, -0.1, 0.1, 0.0, 0.0), "negative"),
+                           (_x_matrix(0.5, 0.5, 0.5, 0.5, 0.0, 0.0), "exceeds 1")):
+            for row in range(3):
+                stack = np.array([good] * 3)
+                stack[row] = bad
+                with pytest.raises(ValueError, match=match):
+                    xstate_concurrence(stack)
+                with pytest.raises(ValueError, match=match):
+                    xstate_concurrence(stack.reshape(3, 1, 4, 4))
 
 
 class TestPureBipartiteConcurrence:
