@@ -133,6 +133,10 @@ def apply_channel(rho: FockDensity, mode: int, kraus: Iterable[np.ndarray]) -> F
     if any(op.shape != (d, d) for op in ops):
         raise ValueError("Kraus operator dimension mismatch")
     ops = np.array(ops, dtype=complex).reshape(-1, d, d)
+    # the output pairs are refused before they are formed, as construction would
+    pairs, total = len(ops) * len(rho.kets), rho.kets.shape[1]
+    if pairs * total > MAX_MATRIX_ENTRIES:
+        raise ValueError(f"{pairs} ket-bra pairs of {total} levels are too large")
     before, after = int(np.prod(dims[:mode])), int(np.prod(dims[mode + 1:]))
 
     def act(vectors):

@@ -227,6 +227,18 @@ class TestCrossBackend:
         with pytest.raises(ValueError, match="too large"):
             apply_channel(rho, 0, damping_kraus(0.5, 9))
 
+    def test_channel_refuses_oversize_output_before_forming_it(self, monkeypatch):
+        # 10 operators on 1 pair of 10 levels would form 10 x 10 entries per side
+        monkeypatch.setattr(fockref, "MAX_MATRIX_ENTRIES", 99)
+        rho = FockDensity((10,), np.ones((1, 10)), np.ones((1, 10)))
+
+        def einsum(*args, **kwargs):
+            raise AssertionError("the output pairs were formed")
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        with pytest.raises(ValueError, match="10 ket-bra pairs of 10 levels are too large"):
+            apply_channel(rho, 0, damping_kraus(0.5, 9))
+
     def test_pairs_beyond_the_dense_limit(self):
         # a two-mode pair at 58 levels per mode: its dense matrix, 58^4
         # entries, is over the limit, but the pair and its loss are not

@@ -22,7 +22,7 @@ from catdamp.coherent import (
 from catdamp.fockref import FockDensity, apply_channel, damping_kraus
 from catdamp.formulas import cat_state, concurrence_pure, mode_ladder
 from catdamp.logical import _pure_concurrences, pure_bipartite_concurrence
-from catdamp.validation import check_pure_concurrence_closed_form
+from catdamp.validation import _max_deviation, check_pure_concurrence_closed_form
 
 
 def superoperator_channel(rho, mode, kraus):
@@ -180,7 +180,8 @@ class TestPureConcurrences:
         points, coeffs, amps = pure_concurrence_grid()
         got = _pure_concurrences(coeffs, amps, [0])
         want = np.array([concurrence_pure(a, t) for t, a in points])
-        assert check_pure_concurrence_closed_form(None) == float(np.max(np.abs(got - want)))
+        assert (_max_deviation(check_pure_concurrence_closed_form(None))
+                == float(np.max(np.abs(got - want))))
 
     def test_rows_bit_identical_to_single_calls(self):
         _, coeffs, amps = pure_concurrence_grid()
