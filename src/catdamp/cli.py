@@ -125,20 +125,20 @@ def _with_flags(config: SweepConfig, args) -> SweepConfig:
 
 
 def _write(command: str, build, out: str) -> int:
-    """Write the (header, rows) that `build()` returns to out as CSV; exit
+    """Write the (header, table) that `build()` returns to out as CSV; exit
     2 when `build` raises ValueError or OverflowError, or out is not
     writable."""
     try:
-        header, rows = build()
+        header, table = build()
     except (ValueError, OverflowError) as exc:
         print(f"catdamp {command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        write_csv(out, header, rows)
+        write_csv(out, header, table)
     except OSError as exc:
         print(f"catdamp {command}: cannot write {out}: {exc.strerror}", file=sys.stderr)
         return USAGE_ERROR
-    print(f"wrote {out} ({len(rows)} rows)")
+    print(f"wrote {out} ({len(table)} rows)")
     return 0
 
 

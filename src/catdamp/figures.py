@@ -1,8 +1,8 @@
 """Figure data generation: deterministic CSV tables for the standard plots.
 
-`build_figure` returns (header, rows) with plain Python floats; `write_csv`
-renders them with shortest round-trip decimal formatting so identical
-parameters always produce byte-identical files.
+`build_figure` returns (header, table), the table's columns float64 arrays
+(`sweep.Table`); `write_csv` renders them with shortest round-trip decimal
+formatting so identical parameters always produce byte-identical files.
 
 Figure catalogue:
 
@@ -32,12 +32,12 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .formulas import ChannelParams
-from .sweep import Column, Preset, run_sweep
+from .sweep import BLOCK, Column, Preset, Table, run_sweep
 
 ALPHA_MAX_DEFAULT = 4.0
 ALPHA_STEPS_DEFAULT = 401
@@ -50,34 +50,33 @@ FIG4_ETAS = (0.99, 0.1)
 MODE_COUNTS = (2, 5, 8)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write the header and then the rows, one at a time.  A str value is
-    written as it is; any other value v as repr(float(v)), the shortest
-    decimal that reads back as the same float, so an int or np.float64
-    prints as the equal plain float."""
+def write_csv(path: str, header: Sequence[str], table: Table) -> None:
+    """Write the header and then the table's rows, formatted by column in
+    blocks of `BLOCK` rows: a str column repeats its value on every row, and
+    each float of an array column prints as its repr, the shortest decimal
+    that reads back as the same float."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join([v if isinstance(v, str) else repr(float(v)) for v in row]) + "\n")
+        for start in range(0, len(table), BLOCK):
+            n = min(BLOCK, len(table) - start)
+            cells = [[c] * n if isinstance(c, str) else map(repr, c[start:start + n].tolist())
+                     for c in table.columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def fig1_rows(theta_steps: int = THETA_STEPS_DEFAULT, p_steps: int = P_STEPS_DEFAULT):
-    """Surface C(theta, p) = (1 - p^2) / (1 + p^2 cos(theta)).
+    """Surface C(theta, p) = (1 - p^2) / (1 + p^2 cos(theta)), theta-major.
 
     At the single point p = 1, theta = pi the expression is 0/0 (the state
     itself vanishes there); the emitted value is 0, consistent with the rest
     of the p = 1 row.
     """
-    header = ["theta", "p", "concurrence"]
-    rows = []
-    for theta in np.linspace(0.0, 2.0 * math.pi, theta_steps):
-        ct = math.cos(float(theta))
-        for p in np.linspace(0.0, 1.0, p_steps):
-            p = float(p)
-            den = 1.0 + p * p * ct
-            value = 0.0 if den == 0.0 else (1.0 - p * p) / den
-            rows.append([float(theta), p, value])
-    return header, rows
+    thetas = np.linspace(0.0, 2.0 * math.pi, theta_steps)
+    p = np.tile(np.linspace(0.0, 1.0, p_steps), theta_steps)
+    ct = np.repeat([math.cos(theta) for theta in thetas.tolist()], p_steps)
+    den = 1.0 + p * p * ct
+    value = np.divide(1.0 - p * p, den, out=np.zeros_like(den), where=den != 0.0)
+    return ["theta", "p", "concurrence"], Table((np.repeat(thetas, p_steps), p, value))
 
 
 def _fig2(etas=FIG2_ETAS):

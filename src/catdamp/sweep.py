@@ -53,9 +53,9 @@ AXES = ("alpha", "eta", "theta")
 DEFAULT_QUANTITIES = ("concurrence_odd", "concurrence_even")
 
 
-# Grid points per quantity call.  Whole-grid calls on a 10^5-point sweep
-# make 0.8 MB temporaries that fragment the heap (peak RSS 84 MB over 45
-# sweeps, against 78 MB for per-point calls); 64 KB ones stay in cache.
+# Grid points per quantity call, and rows per write in `figures.write_csv`.
+# One 10^5-point five-quantity sweep peaks at 34.7 MB RSS in these blocks,
+# and at 43.4 MB in whole-grid calls.
 BLOCK = 8192
 
 # name -> f(alpha, eta, theta, fixed parameters): floats, or an array block
@@ -72,17 +72,27 @@ QUANTITIES = {
 }
 
 
-def _evaluate(quantity: str, axis: str, grid: np.ndarray, p: ChannelParams) -> list[float]:
-    """The quantity at each grid point as plain floats: one call per block of
-    `BLOCK` points, the block as the axis argument and floats elsewhere."""
-    values = []
+def _evaluate(quantity: str, axis: str, grid: np.ndarray, p: ChannelParams) -> np.ndarray:
+    """The quantity at each grid point as a float64 array: one call per block
+    of `BLOCK` points, the block as the axis argument and floats elsewhere."""
+    values = np.empty(len(grid))
     for start in range(0, len(grid), BLOCK):
         block = grid[start:start + BLOCK]
         # the axis entry replaces its fixed value in place, so the order holds
         args = {"alpha": p.alpha, "eta": p.eta, "theta": p.theta, axis: block}
-        out = QUANTITIES[quantity](*args.values(), p)
-        values += np.broadcast_to(out, block.shape).tolist()
+        values[start:start + BLOCK] = QUANTITIES[quantity](*args.values(), p)
     return values
+
+
+@dataclass(frozen=True)
+class Table:
+    """CSV columns for `figures.write_csv`: float64 arrays of the row count,
+    which len() reads off the first, or a str that every row repeats."""
+
+    columns: tuple[np.ndarray | str, ...]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
 
 
 @dataclass(frozen=True)
@@ -214,13 +224,10 @@ def config_from_dict(raw: dict, source: str = "<config>") -> SweepConfig:
     return SweepConfig(**kwargs)
 
 
-def run_sweep(config: SweepConfig | Preset):
-    """Evaluate the columns of a config or a figure preset over its grid.
-
-    Returns (header, rows); rows carry the axis value, one value per
-    column, and (for configs on the alpha axis) one constant alpha_star
-    column per quantity.
-    """
+def run_sweep(config: SweepConfig | Preset) -> tuple[list[str], Table]:
+    """Evaluate the columns of a config or a figure preset over its grid:
+    (header, table), the table the axis grid, one float64 array per column
+    and (for configs on the alpha axis) one constant alpha_star str each."""
     grid = np.linspace(config.start, config.stop, config.steps)
     columns = config.columns
     values = []
@@ -230,9 +237,6 @@ def run_sweep(config: SweepConfig | Preset):
         except ValueError as exc:
             raise ConfigError(f"quantity {c.quantity!r} over {config.axis_name} "
                               f"[{config.start}, {config.stop}]: {exc}")
-    # the rows carry the grid as plain floats; the array goes first, so it
-    # does not add to the peak memory of the rows
-    grid = grid.tolist()
     header = [config.axis_name] + [c.label for c in columns]
     stars: list[str] = []
     if config.stars:
@@ -240,17 +244,12 @@ def run_sweep(config: SweepConfig | Preset):
             star = vanishing_point(grid, column, config.epsilon)
             stars.append("none" if star is None else repr(float(star)))
         header += [f"alpha_star_{c.label}" for c in columns]
-    rows = [[point, *row, *stars] for point, *row in zip(grid, *values)]
-    return header, rows
+    return header, Table((grid, *values, *stars))
 
 
 def vanishing_point(grid, values, epsilon: float):
     """First grid point where the series drops below epsilon after having
-    been at or above it; None if it never drops."""
-    seen_above = False
-    for x, v in zip(grid, values):
-        if v >= epsilon:
-            seen_above = True
-        elif seen_above:
-            return x
-    return None
+    been at or above it; None if it never drops.  A NaN counts as below."""
+    above = np.asarray(values, dtype=float) >= epsilon
+    drops = np.logical_or.accumulate(above) & ~above
+    return grid[int(drops.argmax())] if drops.any() else None

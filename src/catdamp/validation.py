@@ -489,7 +489,7 @@ def run_validation(seed: int = 0, tolerances: dict[str, float] | None = None,
 
 def report_dict(seed: int, results: list[CheckResult]) -> dict:
     """JSON-ready report; excludes wall times so identical seeds give
-    byte-identical documents."""
+    byte-identical documents.  A non-finite max_error is None (JSON null)."""
     return {
         "seed": seed,
         "overall": "pass" if all(r.passed for r in results) else "fail",
@@ -497,7 +497,7 @@ def report_dict(seed: int, results: list[CheckResult]) -> dict:
             {
                 "name": r.name,
                 "status": "pass" if r.passed else "fail",
-                "max_error": r.max_error,
+                "max_error": r.max_error if math.isfinite(r.max_error) else None,
                 "tolerance": r.tolerance,
                 "grid": r.grid,
             }
@@ -529,5 +529,5 @@ def format_table(results: list[CheckResult]) -> str:
 
 def write_report(path: str, seed: int, results: list[CheckResult]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_dict(seed, results), fh, indent=2)
+        json.dump(report_dict(seed, results), fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
@@ -20,6 +21,17 @@ from catdamp.validation import CheckResult, _bisect, format_table, run_validatio
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _vanishing_point_loop(grid, values, epsilon):
+    """The per-value loop that `vanishing_point` replaced."""
+    seen_above = False
+    for x, v in zip(grid, values):
+        if v >= epsilon:
+            seen_above = True
+        elif seen_above:
+            return x
+    return None
 
 
 class TestFigCommand:
@@ -208,6 +220,24 @@ class TestSweepEngine:
         assert vanishing_point(grid, [0.5, 0.4, 0.3, 0.2], 1e-3) is None
         assert vanishing_point(grid, [1e-9] * 4, 1e-3) is None
 
+    @pytest.mark.parametrize("values", [
+        [0.0, 0.5, 0.2, 1e-5],          # rises, then drops
+        [0.5, 0.4, 0.3, 0.2],           # never drops
+        [1e-9] * 4,                     # never above
+        [math.nan, 0.5, math.nan, 1.0],  # NaN before and after the peak
+        [0.5, 0.5, 0.5, math.nan],      # a NaN is the drop
+        [1e-3, math.nextafter(1e-3, 0.0), 1.0],  # at epsilon counts as above
+        [0.0],
+        [],
+    ])
+    def test_vanishing_point_equals_the_loop(self, values):
+        for grid in (np.linspace(0.0, 3.0, len(values)), [10.0 + i for i in range(len(values))],
+                     range(len(values))):
+            for series in (values, np.array(values, dtype=float)):
+                got = vanishing_point(grid, series, 1e-3)
+                want = _vanishing_point_loop(grid, series, 1e-3)
+                assert got == want and type(got) is type(want), (grid, values)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="axis.name"):
             SweepConfig(axis_name="beta")
@@ -217,10 +247,15 @@ class TestSweepEngine:
             config_from_dict({"bogus": 1})
 
     def test_run_sweep_shapes(self):
-        header, rows = run_sweep(SweepConfig(steps=5, stop=2.0))
+        header, table = run_sweep(SweepConfig(steps=5, stop=2.0))
         assert header[0] == "alpha"
-        assert len(rows) == 5
-        assert len(rows[0]) == len(header)
+        assert len(table) == 5
+        assert len(table.columns) == len(header)
+        for name, column in zip(header, table.columns):
+            if name.startswith("alpha_star_"):
+                assert isinstance(column, str)
+            else:
+                assert column.dtype == np.float64 and column.shape == (5,)
 
     def test_sweep_output_byte_identical(self, tmp_path):
         blobs = []

@@ -25,7 +25,7 @@ from catdamp.formulas import (
 )
 from catdamp.logical import _x_matrix, xstate_concurrence
 from catdamp import sweep
-from catdamp.sweep import SweepConfig, run_sweep
+from catdamp.sweep import SweepConfig, Table, run_sweep
 
 # alpha = 0, the points where 1 - e^{-2^m a^2} formed by subtraction would
 # round to 0 (1e-9) and where the odd denominator would (4.5e-9 at
@@ -236,28 +236,56 @@ def _reference_write_csv(path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def test_write_csv_matches_the_reference_writer(tmp_path):
-    header = ["a", "b", "c", "d", "e"]
-    rows = [
-        [0.1, np.float64(0.1), 3, "none", -0.0],
-        [1e-05, np.float64(1e-05), 0, "0.25", 1e16],
-        [np.float64(-0.0), 1e16, np.float64(1e16), True, np.int64(7)],
-        [math.pi, 2.0 / 3.0, -1, np.float64(5e-324), 1.7976931348623157e308],
-        [],
-    ]
+def _rows(table) -> list[list]:
+    """The table's rows, each str column repeated on every row."""
+    return [[c if isinstance(c, str) else c[i] for c in table.columns]
+            for i in range(len(table))]
+
+
+def _assert_matches_reference(tmp_path, header, table) -> None:
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_csv(str(got), header, rows)
-    _reference_write_csv(str(want), header, rows)
+    write_csv(str(got), header, table)
+    _reference_write_csv(str(want), header, _rows(table))
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_csv_matches_the_reference_writer(tmp_path):
+    header = ["a", "b", "c", "d", "e", "f"]
+    table = Table((
+        np.array([0.1, 1e-05, -0.0, math.pi, 2.0 / 3.0]),
+        np.array([1e16, 5e-324, 1.7976931348623157e308, -1.0, 7.0]),
+        "none",
+        np.array([math.inf, -math.inf, math.nan, 0.0, -1e-300]),
+        "0.25",
+        np.array([3.0, 0.0, 1e22, 1e-7, 123456789.0]),
+    ))
+    assert len(table) == 5
+    _assert_matches_reference(tmp_path, header, table)
 
 
 def test_write_csv_matches_the_reference_on_a_sweep(tmp_path):
-    header, rows = run_sweep(SweepConfig(stop=1.5, steps=61, epsilon=0.5))
-    assert any(isinstance(v, str) for v in rows[0])
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_csv(str(got), header, rows)
-    _reference_write_csv(str(want), header, rows)
-    assert got.read_bytes() == want.read_bytes()
+    header, table = run_sweep(SweepConfig(stop=1.5, steps=61, epsilon=0.5))
+    assert any(isinstance(c, str) and c != "none" for c in table.columns)
+    _assert_matches_reference(tmp_path, header, table)
+
+
+@pytest.mark.parametrize("steps", [1, sweep.BLOCK - 1, sweep.BLOCK, sweep.BLOCK + 1])
+def test_write_csv_at_the_block_edges(tmp_path, steps):
+    # the writer formats blocks of BLOCK rows; one point, and one row short
+    # of, at and past one block
+    header, table = run_sweep(SweepConfig(stop=3.0, steps=steps))
+    assert len(table) == steps
+    assert all(len(c) == steps for c in table.columns if not isinstance(c, str))
+    _assert_matches_reference(tmp_path, header, table)
+    assert len((tmp_path / "got.csv").read_text().splitlines()) == steps + 1
+
+
+def test_write_csv_with_a_none_star_column(tmp_path):
+    # neither concurrence drops below epsilon on [0, 0.5]
+    header, table = run_sweep(SweepConfig(stop=0.5, steps=51, epsilon=1e-3))
+    assert header[-2:] == ["alpha_star_concurrence_odd", "alpha_star_concurrence_even"]
+    assert table.columns[-2:] == ("none", "none")
+    _assert_matches_reference(tmp_path, header, table)
 
 
 # ---------------------------------------------------------------- run_sweep
@@ -297,19 +325,20 @@ def test_run_sweep_closed_forms_equal_per_point_calls(monkeypatch, block, axis, 
         fixed = ChannelParams(alpha=0.8, eta=0.6, theta=2.0, m=4, sides=sides)
         config = SweepConfig(axis_name=axis, start=start, stop=stop, steps=37,
                              quantities=tuple(PER_POINT), fixed=fixed)
-        header, rows = run_sweep(config)
+        header, table = run_sweep(config)
         assert header[:1 + len(PER_POINT)] == [axis, *PER_POINT]
-        assert len(rows) == 37
-        for row in rows:
-            point = {"alpha": fixed.alpha, "eta": fixed.eta, "theta": fixed.theta}
-            point[axis] = row[0]
-            for q, value in zip(PER_POINT, row[1:]):
-                # plain floats, as build_figure promises, equal to the float call
-                assert type(value) is float
+        assert len(table) == 37
+        grid = table.columns[0].tolist()
+        for q, column in zip(PER_POINT, table.columns[1:]):
+            # a float64 array, each entry equal to the float call
+            assert column.dtype == np.float64 and column.shape == (37,)
+            for x, value in zip(grid, column.tolist()):
+                point = {"alpha": fixed.alpha, "eta": fixed.eta, "theta": fixed.theta}
+                point[axis] = x
                 want = PER_POINT[q](point["alpha"], point["eta"], point["theta"], fixed)
-                assert value == want, (sides, q, row[0])
+                assert value == want, (sides, q, x)
         if axis == "eta":
             # at eta = 1 the X coherences are float noise, not an exact 0
             direct = 1 + list(PER_POINT).index("damped_concurrence")
-            assert rows[-1][0] == 1.0 and rows[-1][direct] > 0.0
+            assert grid[-1] == 1.0 and table.columns[direct][-1] > 0.0
 

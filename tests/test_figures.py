@@ -85,13 +85,13 @@ LIMITS = {
 @pytest.mark.parametrize("fig", (2, 3, 4, 5, 6))
 def test_preset_columns_equal_scalar_formulas(fig):
     labels, formulas_of = EXPECTED[fig]
-    header, rows = build_figure(fig)
+    header, table = build_figure(fig)
     assert header == ["alpha"] + labels
-    assert [row[0] for row in rows] == ALPHAS
+    assert table.columns[0].tolist() == ALPHAS
     for j, value_at in enumerate(formulas_of, start=1):
-        for row in rows:
-            assert row[j] == value_at(row[0]), (header[j], row[0])
-    for label, value in zip(labels, rows[0][1:]):
+        for alpha, value in zip(ALPHAS, table.columns[j].tolist()):
+            assert value == value_at(alpha), (header[j], alpha)
+    for label, value in zip(labels, [c[0] for c in table.columns[1:]]):
         family, *rest, eta = label.split("_")
         limit = LIMITS[family](float(eta.removeprefix("eta")), "_".join(rest))
         assert value == pytest.approx(limit, abs=1e-15), label
@@ -107,12 +107,13 @@ def test_damped_concurrence_is_one_grid_call(monkeypatch, sides):
         return projection(*args, **kwargs)
 
     monkeypatch.setattr(formulas, "damped_state_projection", counted)
-    _, rows = run_sweep(SweepConfig(quantities=("damped_concurrence",),
-                                    fixed=ChannelParams(eta=0.3, theta=1.0, sides=sides)))
+    _, table = run_sweep(SweepConfig(quantities=("damped_concurrence",),
+                                     fixed=ChannelParams(eta=0.3, theta=1.0, sides=sides)))
     assert len(calls) == 1 and len(calls[0]) == 400
     monkeypatch.undo()
-    assert rows[0][:2] == [0.0, 0.0]
-    for alpha, value, *_ in rows[1:]:
+    alphas, values = table.columns[0].tolist(), table.columns[1].tolist()
+    assert alphas[0] == values[0] == 0.0
+    for alpha, value in zip(alphas[1:], values[1:]):
         assert value == direct(alpha, 0.3, sides, theta=1.0)
 
 

@@ -463,12 +463,11 @@ class TestDampedStateGridKernel:
         assert row["direct_twosided_eta0.3"] == 0.0
 
     def test_fig3_direct_columns_equal_per_point(self):
-        header, rows = build_figure(3, steps=41)
-        for row in rows:
-            alpha = row[0]
-            for eta in FIG3_ETAS:
-                for sides in ("one", "two"):
-                    value = row[header.index(f"direct_{sides}sided_eta{eta:g}")]
+        header, table = build_figure(3, steps=41)
+        for eta in FIG3_ETAS:
+            for sides in ("one", "two"):
+                column = table.columns[header.index(f"direct_{sides}sided_eta{eta:g}")]
+                for alpha, value in zip(table.columns[0].tolist(), column.tolist()):
                     if alpha == 0.0:
                         assert value == 0.0
                     else:
@@ -685,10 +684,10 @@ class TestKrausRoute:
             limit = ghz_concurrence_limit(eta, sides)
             value = xstate_concurrence(ghz_damped_elements(0.0, eta, sides))
             assert abs(value - limit) <= math.ulp(limit), eta
-            _, rows = run_sweep(SweepConfig(
+            _, table = run_sweep(SweepConfig(
                 steps=2, stop=1.0, quantities=("ghz_concurrence",),
                 fixed=ChannelParams(eta=eta, sides=sides)))
-            assert rows[0][1] == value
+            assert table.columns[1][0] == value
 
     @pytest.mark.parametrize("alpha", (19.0, 27.0, 60.0, 200.0))
     def test_finite_at_large_amplitude(self, alpha):
@@ -703,10 +702,10 @@ class TestKrausRoute:
                     assert np.trace(x).real == pytest.approx(1.0, abs=1e-14)
 
     def test_fig3_direct_columns_are_exact_zeros(self):
-        header, rows = build_figure(3)
+        header, table = build_figure(3)
         direct = [i for i, name in enumerate(header) if name.startswith("direct_")]
         assert len(direct) == 2 * len(FIG3_ETAS)
-        assert all(row[i] == 0.0 for row in rows for i in direct)
+        assert all((table.columns[i] == 0.0).all() for i in direct)
 
     def test_removed_methods_and_bad_amplitudes_rejected(self):
         # the Kraus route is the only one; the closed forms are private

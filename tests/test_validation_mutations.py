@@ -174,15 +174,20 @@ class TestMaxDeviation:
         assert _max_deviation(iter([np.array([-3.0]), -1.0])) == 0.0
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def test_nan_deviation_fails_validate(monkeypatch, tmp_path, capsys):
     # a running max(worst, nan) from worst = 0.0 keeps 0.0, and the check
     # would pass
     monkeypatch.setattr(validation, "state_norm", lambda s: math.nan)
     out = tmp_path / "report.json"
     assert main(["validate", "--seed", "7", "--out", str(out)]) == 1
-    report = json.loads(out.read_text())
+    report = json.loads(out.read_text(), parse_constant=_no_constant)
     failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
     assert failing == ["beamsplitter_unitarity"]
-    assert math.isnan(report["checks"][0]["max_error"])
+    # strict JSON has no NaN token: a NaN max_error is written as null
+    assert report["checks"][0]["max_error"] is None
     assert report["overall"] == "fail"
     assert "overall: FAIL" in capsys.readouterr().out
