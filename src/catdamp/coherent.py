@@ -259,8 +259,8 @@ def canonicalize(d: SuperpositionDensity, tol: float = PRUNE_TOL) -> Superpositi
     """Merge dyads whose ket and bra amplitudes are equal (-0.0 reads as
     0.0), summing their weights in dyad order, and drop |coeff| < tol.  The
     merged dyad sits where its first member did and keeps its amplitudes."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     first, group = _groups(d.dyads[:, 1:] + 0.0)
     coeffs = np.zeros(len(first), dtype=complex)
     np.add.at(coeffs, group, d.coeffs)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 from .coherent import (
@@ -33,7 +34,6 @@ from .coherent import (
 from .logical import (
     _libm,
     _loss_kraus,
-    _sqrt,
     _weights2,
     _x_concurrence,
     _x_matrix,
@@ -49,14 +49,12 @@ SIDES = ("one", "two")
 
 
 def _reject(ok, value, message: str) -> None:
-    """Raise ValueError(message.format(v)) unless ok holds; ok and value are
-    floats and bools, or arrays that broadcast, and v is the value at the
-    first element where ok fails."""
-    if isinstance(ok, np.ndarray):
-        if not ok.all():
-            raise ValueError(message.format(np.broadcast_to(value, ok.shape)[~ok][0].item()))
-    elif not ok:
-        raise ValueError(message.format(value))
+    """Raise ValueError(message.format(v)) unless ok holds everywhere; ok
+    and value broadcast, and v is the value at the first element where ok
+    fails."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        raise ValueError(message.format(np.broadcast_to(value, ok.shape)[~ok][0].item()))
 
 
 def _check_alpha(alpha: float | np.ndarray, positive: bool = False) -> None:
@@ -82,8 +80,10 @@ def _check_theta(theta: float | np.ndarray) -> None:
 
 
 def _check_m(m: int) -> None:
-    """1 <= m <= 1024: the m-mode family forms 2^{m-1}, a finite double up
-    to m = 1024."""
+    """m is an integer, not a bool, and 1 <= m <= 1024: the m-mode family
+    forms 2^{m-1}, a finite double up to m = 1024."""
+    if isinstance(m, bool) or not isinstance(m, Integral):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if not 1 <= m <= 1024:
         raise ValueError(f"m must lie in [1, 1024], got {m!r}")
 
@@ -111,43 +111,34 @@ class ChannelParams:
         _check_choice("sides", self.sides, SIDES)
 
 
-# The closed forms below take floats or NumPy arrays that broadcast for
-# alpha and eta (and theta).  A float call returns a float and calls no NumPy
-# function; an array call returns an array of the broadcast shape whose
-# element i equals the float call at element i bit for bit.  One body serves
-# both: +, -, *, / and sqrt are correctly rounded, so NumPy's equal the float
-# path's in the same operation order; every exp, expm1, cos and power runs
-# through `_libm`, one libm call per element, because NumPy's own exp and cos
-# differ from libm on a few percent of arguments; and each limit is a mask.
+# The closed forms below run one NumPy path: alpha and eta (and theta) are
+# floats or arrays that broadcast, and element i of an array call equals the
+# float call at element i bit for bit, since every exp, expm1, cos and power
+# runs through `_libm`, one libm call per element (NumPy's own exp and cos
+# differ from libm on a few percent of arguments); each limit is a mask.
 
 
 def _elementwise(fn):
-    """A closed form whose array call runs with NumPy's floating-point
-    warnings off (alpha^2 overflows to inf, 0 * inf gives nan, as on the
-    float path) and returns the broadcast shape of its array arguments, also
-    where the value does not depend on one of them."""
+    """A closed form that runs with NumPy's floating-point warnings off
+    (alpha^2 overflows to inf, 0 * inf gives nan) and returns a float when
+    no argument is an array, else the broadcast shape of its array
+    arguments, also where the value does not depend on one of them."""
 
     @functools.wraps(fn)
     def call(*args, **kwargs):
         shapes = [v.shape for v in (*args, *kwargs.values()) if isinstance(v, np.ndarray)]
-        if not shapes:
-            return fn(*args, **kwargs)
         with np.errstate(all="ignore"):
-            return np.broadcast_to(fn(*args, **kwargs), np.broadcast_shapes(*shapes)).copy()
+            out = fn(*args, **kwargs)
+            if not shapes:
+                return float(out)
+            return np.broadcast_to(out, np.broadcast_shapes(*shapes)).copy()
 
     return call
 
 
-def _square(x):
-    """x**2, one libm pow per element."""
-    return _libm(lambda v: v**2, x)
-
-
-def _limit_where(at_limit, limit, num, den=1.0):
+def _limit_where(at_limit, limit, num, den):
     """num / den, and `limit` where `at_limit` holds; den may be 0 there."""
-    if isinstance(at_limit, np.ndarray):
-        return np.where(at_limit, limit, num / np.where(at_limit, 1.0, den))
-    return limit if at_limit else num / den
+    return np.where(at_limit, limit, num / np.where(at_limit, 1.0, den))
 
 
 @_elementwise
@@ -177,10 +168,10 @@ def _family_terms(alpha, eta, m: int):
     e^{-2y} and s_eta = 1 - e^{-2 eta y} through expm1, t = e^{-(1-eta) y}.
     A subnormal alpha^2, too short of digits for s_eta / s, counts as 0."""
     x = alpha * alpha
-    y = 2.0 ** (m - 1) * _limit_where(x < 2.0**-1022, 0.0, x)
+    y = 2.0 ** (m - 1) * np.where(x < 2.0**-1022, 0.0, x)
     # an exponent is 0 where eta or 1 - eta is, also at y = inf (0.0 * inf)
-    s_eta = -_libm(math.expm1, _limit_where(eta == 0.0, 0.0, -2.0 * eta * y))
-    t = _libm(math.exp, _limit_where(eta == 1.0, 0.0, -(1.0 - eta) * y))
+    s_eta = -_libm(math.expm1, np.where(eta == 0.0, 0.0, -2.0 * eta * y))
+    t = _libm(math.exp, np.where(eta == 1.0, 0.0, -(1.0 - eta) * y))
     return y, -_libm(math.expm1, -2.0 * y), s_eta, t
 
 
@@ -241,7 +232,7 @@ def concurrence_m(alpha: float | np.ndarray, eta: float | np.ndarray, m: int, pa
     den = -d if parity == "odd" else 2.0 + d
     limit = 0.0 if parity == "even" else 2.0 * _libm(lambda e: e**1.5, eta) / (1.0 + eta)
     ratio = _limit_where(s == 0.0, eta, s_eta, s)
-    return _limit_where(s == 0.0, limit, t * s_eta * _sqrt(ratio), den)
+    return _limit_where(s == 0.0, limit, t * s_eta * np.sqrt(ratio), den)
 
 
 def mode_ladder(alpha: float, m: int) -> tuple[complex, ...]:
@@ -346,7 +337,7 @@ def ghz_damped_projection(
 def _ghz_elements_closed(alpha, eta, sides: str):
     """Stable closed forms of the damped-GHZ X elements (a, b, c, d, e, f),
     e and f real: alpha and eta are floats, or arrays that broadcast, with
-    each exp, expm1 and square one libm call per element.
+    each exp and expm1 one libm call per element.
 
     With t = e^{-2(1-eta) a^2}, lam^2 = (1 + e^{-2 a^2}) / 2 and
     mu^2 = -expm1(-2 a^2) / 2 at amplitude a, lam'^2 and mu'^2 the same at
@@ -362,21 +353,21 @@ def _ghz_elements_closed(alpha, eta, sides: str):
     """
     a2 = alpha * alpha
     # the loss exponent is -0.0 at eta = 1, also where a2 = inf makes it -0.0 * inf
-    lost = _limit_where(eta == 1.0, -0.0, -2.0 * (1.0 - eta) * a2)
+    lost = np.where(eta == 1.0, -0.0, -2.0 * (1.0 - eta) * a2)
     one_minus_t = -_libm(math.expm1, lost)
     one_plus_t = 1.0 + _libm(math.exp, lost)
     lam2, mu2 = _weights2(2.0 * a2)
     lamp2, mup2 = _weights2(2.0 * eta * a2)
     if sides == "one":
-        cross = _sqrt(lamp2 * mup2)
-        cross0 = _sqrt(lam2 * mu2)
+        cross = np.sqrt(lamp2 * mup2)
+        cross0 = np.sqrt(lam2 * mu2)
         return (one_plus_t * lamp2 / (4.0 * lam2), one_minus_t * mup2 / (4.0 * lam2),
                 one_minus_t * lamp2 / (4.0 * mu2), one_plus_t * mup2 / (4.0 * mu2),
                 one_minus_t * cross / (4.0 * cross0), one_plus_t * cross / (4.0 * cross0))
-    lam4, mu4, plus2 = _square(lam2), _square(mu2), _square(one_plus_t)
+    lam4, mu4, plus2 = lam2 * lam2, mu2 * mu2, one_plus_t * one_plus_t
     mixed = one_minus_t * one_plus_t * lamp2 * mup2
-    return (plus2 * _square(lamp2) / (8.0 * lam4), mixed / (8.0 * lam4),
-            mixed / (8.0 * mu4), plus2 * _square(mup2) / (8.0 * mu4),
+    return (plus2 * (lamp2 * lamp2) / (8.0 * lam4), mixed / (8.0 * lam4),
+            mixed / (8.0 * mu4), plus2 * (mup2 * mup2) / (8.0 * mu4),
             mixed / (8.0 * lam2 * mu2), plus2 * lamp2 * mup2 / (8.0 * lam2 * mu2))
 
 
@@ -559,14 +550,15 @@ def damped_concurrence_bound(
     # elements may divide by a mu^2 or mu^4 that underflowed to 0) so is the
     # product, but for the limit at alpha = 0
     zero = pure == 0.0
-    limit = _limit_where(_libm(math.cos, theta) == -1.0, ghz_concurrence_limit(eta, sides), 0.0)
-    a, b, c, d, e, f = _ghz_elements_closed(_limit_where(zero, 1.0, alpha), eta, sides)
-    return _limit_where(zero, limit, _x_concurrence(a, b, c, d, abs(e), abs(f)) * pure)
+    limit = np.where(_libm(math.cos, theta) == -1.0, ghz_concurrence_limit(eta, sides), 0.0)
+    a, b, c, d, e, f = _ghz_elements_closed(np.where(zero, 1.0, alpha), eta, sides)
+    return np.where(zero, limit, _x_concurrence(a, b, c, d, abs(e), abs(f)) * pure)
 
 
+@_elementwise
 def ghz_concurrence_limit(eta: float | np.ndarray, sides: str = "one"):
     """alpha -> 0 limit of the damped-GHZ X concurrence: sqrt(eta) for
     one-sided loss, eta for two-sided; eta is a float or an array."""
     _check_choice("sides", sides, SIDES)
     _check_eta(eta, positive=True)
-    return _sqrt(eta) if sides == "one" else eta
+    return np.sqrt(eta) if sides == "one" else eta

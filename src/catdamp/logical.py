@@ -243,9 +243,12 @@ def wootters_concurrence(rho: np.ndarray):
 
     rho is a 4x4 matrix, which gives a float, or a (..., 4, 4) stack, which
     gives the (...,) array; `eigh` and `svd` run once on the stack, and row g
-    equals the one-matrix call at rho[g] bit for bit.
+    equals the one-matrix call at rho[g] bit for bit.  A non-finite entry
+    raises ValueError: `eigh` reads only the lower triangle.
     """
     rho = _two_qubit(rho)
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix must be finite")
     if np.any(np.abs(rho - np.swapaxes(rho, -1, -2).conj()) > 1e-8):
         raise ValueError("density matrix must be Hermitian")
     evals, vecs = np.linalg.eigh(rho)
@@ -264,11 +267,13 @@ def xstate_concurrence(rho: np.ndarray):
 
     rho is a 4x4 matrix or a (..., 4, 4) stack, as for `wootters_concurrence`;
     |e| and |f| are libm's hypot per element, as Python's abs takes them.  A
-    diagonal entry below -1e-12, or a diagonal weight above 1 + 1e-10, in
-    any matrix raises ValueError.
+    non-finite entry among the six read, a diagonal entry below -1e-12, or a
+    diagonal weight above 1 + 1e-10, in any matrix raises ValueError.
     """
     rho = _two_qubit(rho)
     a, b, c, d = (rho[..., i, i].real for i in range(4))
+    if not np.isfinite(rho[..., [0, 1, 2, 3, 1, 0], [0, 1, 2, 3, 2, 3]]).all():
+        raise ValueError("X-state entries must be finite")
     if any(np.any(x < -1e-12) for x in (a, b, c, d)):
         raise ValueError("diagonal element is negative beyond tolerance")
     if np.any(a + b + c + d > 1.0 + 1e-10):
@@ -290,26 +295,20 @@ def _x_matrix(a, b, c, d, e, f) -> np.ndarray:
     return x
 
 
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
 def _max(first, *rest):
-    """max(first, *rest), element by element where one is an array: a later
-    value replaces the running one only where it is greater, as in max."""
+    """max(first, *rest) element by element: a later value replaces the
+    running one only where it is greater, as in max, so a NaN first value
+    stays."""
     for x in rest:
-        if isinstance(first, np.ndarray) or isinstance(x, np.ndarray):
-            first = np.where(x > first, x, first)
-        else:
-            first = max(first, x)
+        first = np.where(x > first, x, first)
     return first
 
 
 def _x_concurrence(a, b, c, d, e_abs, f_abs):
-    """`xstate_concurrence` from a, b, c, d, |e| and |f|: floats, or arrays
-    whose each element equals the float call's bit for bit."""
-    inner = e_abs - _sqrt(_max(a * d, 0.0))
-    outer = f_abs - _sqrt(_max(b * c, 0.0))
+    """`xstate_concurrence` from a, b, c, d, |e| and |f|, floats or arrays
+    that broadcast."""
+    inner = e_abs - np.sqrt(_max(a * d, 0.0))
+    outer = f_abs - np.sqrt(_max(b * c, 0.0))
     return 2.0 * _max(0.0, inner, outer)
 
 

@@ -219,8 +219,11 @@ def config_from_dict(raw: dict, source: str = "<config>") -> SweepConfig:
         raise ConfigError(f"{source}: fixed.{name} is the axis of the sweep")
     try:
         kwargs["fixed"] = replace(ChannelParams(eta=0.9, m=5), **fixed_raw)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"{source}: fixed: {exc}")
+    except ValueError as exc:
+        # each check of ChannelParams opens its message with the field's name
+        raise ConfigError(f"{source}: fixed.{exc}")
     return SweepConfig(**kwargs)
 
 

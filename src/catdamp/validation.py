@@ -201,13 +201,13 @@ def _phase_flip_extraction(m: int, alphas, etas):
     for alpha in alphas:
         ladder = mode_ladder(alpha, m)
         state = cat_state(ladder, pi_phase)
-        for eta in etas:
+        pfs = phase_flip_prob_m(alpha, np.array(etas), m).tolist()
+        for eta, pf in zip(etas, pfs):
             d = functools.reduce(lambda d, mode: apply_loss(d, mode, eta), range(1, m), state)
             # the unflipped and flipped components, at the damped amplitudes
             amps = ladder[:1] + tuple(complex(math.sqrt(eta) * a.real) for a in ladder[1:])
             odd, even = cat_state(amps, -1.0), cat_state(amps, 1.0)
             weights, residual = mixture_weights(d, [odd, even])
-            pf = phase_flip_prob_m(alpha, eta, m)
             yield abs(weights[0] - (1.0 - pf))
             yield abs(weights[1] - pf)
             yield residual

@@ -297,6 +297,13 @@ class TestCanonicalize:
         out = canonicalize(d)
         assert len(out.dyads) == 1
 
+    @pytest.mark.parametrize("tol", [-1e-3, math.nan])
+    def test_bad_tolerance_raises(self, tol):
+        # tol = nan once dropped every dyad
+        d = density_from_pure(cat_state(mode_ladder(0.5, 2), -1.0))
+        with pytest.raises(ValueError, match=f"tol must be nonnegative, got {tol!r}"):
+            canonicalize(d, tol)
+
     def test_idempotent(self):
         rng = np.random.default_rng(29)
         d = density_from_pure(normalize(random_state(rng, modes=2, terms=4)))

@@ -140,18 +140,28 @@ class TestPhaseFlipM:
             for got in (phase_flip_prob(a, eta), phase_flip_prob_m(a, eta, 3)):
                 assert abs(got - want) < 1e-15, (a, eta)
 
-    @pytest.mark.parametrize("call", (
+    M_CALLS = (
         lambda m: phase_flip_prob_m(0.5, 0.5, m),
         lambda m: concurrence_m(0.5, 0.5, m, "odd"),
         lambda m: mode_ladder(0.5, m),
         lambda m: ChannelParams(m=m),
-    ))
+    )
+
+    @pytest.mark.parametrize("call", M_CALLS)
     def test_m_above_1024_is_rejected(self, call):
         # 2^{m-1} is a finite double up to m = 1024; 1025 once raised a raw
         # OverflowError
         call(1024)
         for m in (1025, 2000):
             with pytest.raises(ValueError, match=rf"m must lie in \[1, 1024\], got {m}"):
+                call(m)
+
+    @pytest.mark.parametrize("call", M_CALLS)
+    def test_non_integer_m_is_rejected(self, call):
+        # m = 2.5 once gave p_f = 0.2649 and mode_ladder a raw TypeError
+        call(np.int64(3))
+        for m in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError, match=f"^m must be an integer, got {m!r}$"):
                 call(m)
 
     def test_lossless(self):

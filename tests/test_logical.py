@@ -455,6 +455,19 @@ class TestXStateConcurrence:
         assert xstate_concurrence(_x_matrix(-1e-12, 0.5, 0.5, 0.0, 0.0, 0.0)) == 0.0
         assert xstate_concurrence(_x_matrix(0.25, 0.25, 0.25, 0.25 + 1e-10, 0.0, 0.0)) == 0.0
 
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 2), (1, 2), (0, 3)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_raises(self, entry, bad):
+        # a NaN here once gave 0.3 or 0.0, and wootters_concurrence 0.3 for
+        # one in the upper triangle, which eigh does not read
+        x = _x_matrix(0.4, 0.1, 0.1, 0.4, 0.05, 0.25)
+        x[entry] = bad
+        for concurrence in (xstate_concurrence, wootters_concurrence):
+            with pytest.raises(ValueError, match="finite"):
+                concurrence(x)
+        with pytest.raises(ValueError, match="finite"):
+            xstate_concurrence(np.array([_x_matrix(0.25, 0.25, 0.25, 0.25, 0.0, 0.0), x]))
+
     def test_invariants_enforced_on_each_row_of_a_stack(self):
         good = _x_matrix(0.25, 0.25, 0.25, 0.25, 0.0, 0.1)
         for bad, match in ((_x_matrix(0.5, 0.5, -0.1, 0.1, 0.0, 0.0), "negative"),
