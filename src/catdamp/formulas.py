@@ -79,9 +79,13 @@ def _check_theta(theta: float | np.ndarray) -> None:
     _reject((-math.inf < theta) & (theta < math.inf), theta, "theta must be finite, got {!r}")
 
 
-def _check_m(m: int) -> None:
+def _check_m(m: int | np.ndarray, arrays: bool = False) -> None:
     """m is an integer, not a bool, and 1 <= m <= 1024: the m-mode family
-    forms 2^{m-1}, a finite double up to m = 1024."""
+    forms 2^{m-1}, a finite double up to m = 1024.  Where the formula takes
+    arrays, m may be an integer array of such values."""
+    if arrays and isinstance(m, np.ndarray) and m.dtype.kind in "iu":
+        _reject((1 <= m) & (m <= 1024), m, "m must lie in [1, 1024], got {!r}")
+        return
     if isinstance(m, bool) or not isinstance(m, Integral):
         raise ValueError(f"m must be an integer, got {m!r}")
     if not 1 <= m <= 1024:
@@ -163,7 +167,7 @@ def concurrence_pure(alpha: float | np.ndarray, theta: float | np.ndarray):
     return _limit_where(zero, 0.0, 1.0 - e8, den)
 
 
-def _family_terms(alpha, eta, m: int):
+def _family_terms(alpha, eta, m):
     """(y, s, s_eta, t) of the m-mode family: y = 2^{m-1} alpha^2, s = 1 -
     e^{-2y} and s_eta = 1 - e^{-2 eta y} through expm1, t = e^{-(1-eta) y}.
     A subnormal alpha^2, too short of digits for s_eta / s, counts as 0."""
@@ -183,7 +187,8 @@ def phase_flip_prob(alpha: float | np.ndarray, eta: float | np.ndarray):
 
 
 @_elementwise
-def phase_flip_prob_m(alpha: float | np.ndarray, eta: float | np.ndarray, m: int):
+def phase_flip_prob_m(alpha: float | np.ndarray, eta: float | np.ndarray,
+                      m: int | np.ndarray):
     """Phase-flip probability for the m-mode travelling state,
 
         p_{f,m} = (1 - e^{-2^m a^2} - e^{-2^{m-1}(1-eta) a^2}
@@ -197,12 +202,13 @@ def phase_flip_prob_m(alpha: float | np.ndarray, eta: float | np.ndarray, m: int
     at m = 2, alpha 0.05, eta 0.1 it is 6.2e-6 where this gives 0.450 (the
     dyad backend's `mixture_weights` agree with it within 1.2e-16).
 
-    alpha and eta are floats, or arrays that broadcast, whose values are the
-    float calls' bit for bit (exp and expm1 one libm call per element).
+    alpha and eta are floats, and m an integer, or arrays that broadcast
+    (m's of integers), whose values are the float calls' bit for bit (exp
+    and expm1 one libm call per element).
     """
     _check_alpha(alpha)
     _check_eta(eta)
-    _check_m(m)
+    _check_m(m, arrays=True)
     _, s, s_eta, t = _family_terms(alpha, eta, m)
     return _limit_where(s == 0.0, (1.0 - eta) / 2.0, s - t * s_eta, 2.0 * s)
 
@@ -221,7 +227,8 @@ def concurrence_m(alpha: float | np.ndarray, eta: float | np.ndarray, m: int, pa
     even state's own is different (see there).
     At alpha = 0, and where alpha^2 is subnormal, it is the limit: 0 for
     even parity, and 2 eta^{3/2} / (1 + eta) for odd, which is not the exact
-    concurrence's limit sqrt(eta).  Arrays as for `phase_flip_prob_m`.
+    concurrence's limit sqrt(eta).  alpha and eta arrays as for
+    `phase_flip_prob_m`; m is one integer.
     """
     _check_choice("parity", parity, PARITIES)
     _check_m(m)

@@ -414,3 +414,23 @@ def test_bisection_matches_brentq_on_the_saturation_crossings():
     # p_{f,2} stays below 0.6 on the bracket: no sign change
     with pytest.raises(ValueError, match="different signs"):
         _bisect(lambda a: phase_flip_prob_m(a, 0.99, 2) - 0.6, 1e-6, 50.0, xtol=1e-10)
+
+
+def test_array_bisection_equals_the_float_calls_bit_for_bit():
+    # brackets of different widths, so the elements stop at different steps
+    ms, lo, hi = np.array([2, 5, 8]), np.array([1e-6, 1e-6, 1.0]), np.array([50.0, 50.0, 2.0])
+    calls = []
+
+    def f(a):
+        calls.append(a)
+        return phase_flip_prob_m(a, 0.99, ms) - 0.49
+
+    got = _bisect(f, lo, hi, xtol=1e-10)
+    want = [_bisect(lambda a: phase_flip_prob_m(a, 0.99, m) - 0.49, l, h, xtol=1e-10)
+            for m, l, h in zip(ms.tolist(), lo.tolist(), hi.tolist())]
+    assert got.tolist() == want
+    # one call per step for all three: the widest bracket's 2 + 39
+    assert len(calls) == 41
+    with pytest.raises(ValueError, match="different signs"):
+        _bisect(lambda a: phase_flip_prob_m(a, 0.99, 2) - np.array([0.49, 0.6]),
+                np.full(2, 1e-6), np.full(2, 50.0), xtol=1e-10)

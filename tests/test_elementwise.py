@@ -19,6 +19,7 @@ from catdamp.formulas import (
     damped_state_projection,
     ghz_concurrence_limit,
     ghz_damped_elements,
+    mode_ladder,
     phase_flip_prob,
     phase_flip_prob_m,
 )
@@ -159,6 +160,32 @@ def test_bad_eta_element_is_named(bad):
     # the concurrences need eta > 0
     with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\], got 0.0"):
         concurrence_m(0.5, np.array([0.5, 0.0]), 2, "odd")
+
+
+def test_m_array_equals_float_calls_bit_for_bit():
+    ms = np.array([1, 2, 3, 5, 8, 1024])
+    got = phase_flip_prob_m(ALPHAS[:, None], 0.7, ms)
+    want = [[phase_flip_prob_m(float(a), 0.7, m) for m in ms.tolist()] for a in ALPHAS]
+    assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("ms,message", [
+    (np.array([2, 1025]), r"^m must lie in \[1, 1024\], got 1025$"),
+    (np.array([[3], [0]]), r"^m must lie in \[1, 1024\], got 0$"),
+    (np.array([2.0, 3.0]), "^m must be an integer"),
+    (np.array([True, False]), "^m must be an integer"),
+])
+def test_bad_m_element_is_named(ms, message):
+    with pytest.raises(ValueError, match=message):
+        phase_flip_prob_m(0.5, 0.5, ms)
+
+
+def test_one_m_where_the_formula_takes_no_arrays():
+    for call in (lambda: concurrence_m(0.5, 0.5, np.array([2, 3]), "odd"),
+                 lambda: mode_ladder(0.5, np.array([2, 3])),
+                 lambda: ChannelParams(m=np.array([2, 3]))):
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            call()
 
 
 def test_bad_theta_element_is_named():

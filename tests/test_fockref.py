@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from catdamp.fockref import (
     state_to_fock,
 )
 from catdamp.formulas import ghz_state
+from catdamp.validation import CHECKS, _max_deviation
 
 
 def cat_state(alpha, sign=1.0, modes=2):
@@ -250,3 +252,75 @@ class TestCrossBackend:
         assert trace == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError, match="too large"):
             damped.mat
+
+
+def fock_check_pairs():
+    """The (a, b) pairs that `backend_equivalence`, `ghz_fock_crosscheck` and
+    `fock_channel_composition` compare at seed 7, recorded from the checks."""
+    pairs = []
+    gap_blocks = fockref.gap_blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fockref, "gap_blocks", lambda a, b: pairs.append((a, b)) or gap_blocks(a, b))
+        for offset, (name, check, *_) in enumerate(CHECKS):
+            if name in ("backend_equivalence", "ghz_fock_crosscheck", "fock_channel_composition"):
+                _max_deviation(check(np.random.default_rng(7000 + offset)))
+    return pairs
+
+
+def random_density(rng, levels, pairs=3):
+    def vectors():
+        return rng.normal(size=(pairs, levels)) + 1j * rng.normal(size=(pairs, levels))
+    return FockDensity((levels,), vectors(), vectors())
+
+
+class TestGapBlocks:
+    def test_max_equals_the_dense_max_on_every_check_pair(self):
+        pairs = fock_check_pairs()
+        assert len(pairs) == 25 + 3 + 3
+        for a, b in pairs:
+            blocks = list(fockref.gap_blocks(a, b))
+            assert np.vstack(blocks).shape == a.mat.shape
+            assert np.max(np.vstack(blocks)) == np.max(np.abs(a.mat - b.mat))
+
+    @pytest.mark.parametrize("levels,heights", [
+        (100, [100]),            # fewer levels than one block
+        (512, [128] * 4),        # an exact multiple of the block
+        (571, [114] * 5 + [1]),  # a multiple plus one
+    ])
+    def test_block_edges(self, levels, heights):
+        rng = np.random.default_rng(levels)
+        a, b = random_density(rng, levels), random_density(rng, levels)
+        blocks = list(fockref.gap_blocks(a, b))
+        assert [len(block) for block in blocks] == heights
+        assert all(block.shape[1] == levels for block in blocks)
+        np.testing.assert_allclose(np.vstack(blocks), np.abs(a.mat - b.mat), rtol=0, atol=1e-13)
+
+    def test_nan_in_the_last_block_reads_nan(self):
+        rng = np.random.default_rng(1)
+        a, b = random_density(rng, 729), random_density(rng, 729)
+        a.kets[:, -1] = math.nan
+        blocks = list(fockref.gap_blocks(a, b))
+        assert len(blocks) == 9 and len(blocks[-1]) == 729 - 8 * 89
+        assert all(np.isfinite(block).all() for block in blocks[:-1])
+        assert math.isnan(_max_deviation(iter(blocks)))
+
+    def test_computes_where_the_dense_matrix_is_refused(self, monkeypatch):
+        a, b = max(fock_check_pairs(), key=lambda pair: pair[0].kets.shape[1])
+        assert a.dims == (27, 27)
+        dense = np.max(np.abs(a.mat - b.mat))
+        monkeypatch.setattr(fockref, "MAX_MATRIX_ENTRIES", 729 * 729 - 1)
+        with pytest.raises(ValueError, match="too large"):
+            a.mat
+        assert max(np.max(block) for block in fockref.gap_blocks(a, b)) == dense
+
+    @pytest.mark.parametrize("name", ["backend_equivalence", "ghz_fock_crosscheck"])
+    def test_fock_checks_peak_below_one_dense_matrix(self, name):
+        # the dense comparison formed both 729 x 729 complex matrices
+        offset, check = next((i, fn) for i, (n, fn, *_) in enumerate(CHECKS) if n == name)
+        tracemalloc.start()
+        try:
+            _max_deviation(check(np.random.default_rng(7000 + offset)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 729 * 729 * 16

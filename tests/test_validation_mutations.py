@@ -191,3 +191,23 @@ def test_nan_deviation_fails_validate(monkeypatch, tmp_path, capsys):
     assert report["checks"][0]["max_error"] is None
     assert report["overall"] == "fail"
     assert "overall: FAIL" in capsys.readouterr().out
+
+
+def test_nan_in_the_last_fock_block_fails_validate(monkeypatch, tmp_path):
+    # a NaN on the last level of the dyad route's kets reaches only the last
+    # row of each dense gap, so only the last row block of `gap_blocks`
+    def last_level_nan(f):
+        def mutated(*args):
+            rho = f(*args)
+            kets = rho.kets.copy()
+            kets[:, -1] = math.nan
+            return fockref.FockDensity(rho.dims, kets, rho.bras)
+        return mutated
+
+    monkeypatch.setattr(fockref, "density_to_fock", last_level_nan(fockref.density_to_fock))
+    out = tmp_path / "report.json"
+    assert main(["validate", "--seed", "7", "--out", str(out)]) == 1
+    report = json.loads(out.read_text(), parse_constant=_no_constant)
+    failing = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failing] == ["backend_equivalence", "ghz_fock_crosscheck"]
+    assert all(c["max_error"] is None for c in failing)
