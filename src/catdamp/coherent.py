@@ -292,21 +292,21 @@ def _gram(amps: np.ndarray) -> np.ndarray:
 
 
 def _gram_spectra(amps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Spectra of G operators sum_ij coeffs[g, i, j] |a_gi><a_gj| at once.
+    """Spectra of the operators sum_ij coeffs[..., i, j] |a_i><a_j| at once.
 
-    amps (G, r, M) holds r coherent products of M modes per operator and
-    coeffs (G, r, r) their weights.  The eigenvalues are those of
+    amps (..., r, M) holds r coherent products of M modes per operator and
+    coeffs (..., r, r) their weights; leading axes broadcast, so a shared
+    support takes one Gram decomposition.  The eigenvalues are those of
     S C S with S = Gram^{1/2}, which shares its nonzero spectrum with the
-    operator whatever the overlaps of the support, and are returned as a
-    (G, r) array, each row decreasing.  Every step is a stacked `eigh`,
-    `eigvalsh` or matmul, so row g does the same floating-point operations
-    as a G = 1 call on operator g alone.
+    operator whatever the overlaps of the support, as a (..., r) array, each
+    row decreasing.  Every step is a stacked `eigh`, `eigvalsh` or matmul,
+    so each operator does the same floating-point operations alone.
     """
     w, v = np.linalg.eigh(_gram(np.asarray(amps, dtype=complex)))
-    half = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+    half = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
     h = half @ np.asarray(coeffs, dtype=complex) @ half
-    evals = np.linalg.eigvalsh(0.5 * (h + np.conj(np.swapaxes(h, 1, 2))))
-    return evals[:, ::-1]
+    evals = np.linalg.eigvalsh(0.5 * (h + np.conj(np.swapaxes(h, -1, -2))))
+    return evals[..., ::-1]
 
 
 def density_spectrum(d: SuperpositionDensity) -> np.ndarray:

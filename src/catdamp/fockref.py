@@ -96,18 +96,33 @@ class FockDensity:
         return self.kets.T @ self.bras.conj()
 
 
-def gap_blocks(a: FockDensity, b: FockDensity) -> Iterator[np.ndarray]:
-    """|a.mat - b.mat| one block of `BLOCK_ENTRIES // levels` rows at a
-    time (the last one shorter), in row order, so no dense matrix is formed.
-    On OpenBLAS 0.3.31 every block entry of the pairs `validate` compares
-    equals the dense one bit for bit; fixed blocks of 1 to 48 rows missed by
-    the last bit on some of them, as the BLAS takes other small-M kernels."""
-    total = a.kets.shape[1]
-    rows = max(1, BLOCK_ENTRIES // total)
-    a_kets, b_kets, a_bras, b_bras = a.kets.T, b.kets.T, a.bras.conj(), b.bras.conj()
-    for start in range(0, total, rows):
-        block = slice(start, start + rows)
-        yield np.abs(a_kets[block] @ a_bras - b_kets[block] @ b_bras)
+def gap_blocks(pairs: Iterable[tuple[FockDensity, FockDensity]]) -> Iterator[np.ndarray]:
+    """|a.mat - b.mat| for each pair (a, b) in turn, one block of
+    `BLOCK_ENTRIES // levels` rows at a time (the last one shorter), in row
+    order, so no dense matrix is formed; a pair whose dims differ raises
+    ValueError.  Each block is formed in two buffers allocated once per call
+    and overwritten by the next block, so a caller keeps a block by copying
+    it; no pair is held while the next one is drawn.  On OpenBLAS 0.3.31
+    every block entry of the pairs `validate` compares equals the dense one
+    bit for bit; fixed blocks of 1 to 48 rows missed by the last bit on some
+    of them, as the BLAS takes other small-M kernels."""
+    first = second = np.empty(0, dtype=complex)
+    for a, b in pairs:
+        if a.dims != b.dims:
+            raise ValueError(f"cannot compare Fock densities of dims {a.dims} and {b.dims}")
+        total = a.kets.shape[1]
+        rows = max(1, BLOCK_ENTRIES // total)
+        if first.size < rows * total:
+            first, second = np.empty((2, max(BLOCK_ENTRIES, rows * total)), dtype=complex)
+        a_kets, b_kets, a_bras, b_bras = a.kets.T, b.kets.T, a.bras.conj(), b.bras.conj()
+        for start in range(0, total, rows):
+            block, shape = slice(start, start + rows), (min(rows, total - start), total)
+            diff, other = (buf[:shape[0] * total].reshape(shape) for buf in (first, second))
+            np.matmul(a_kets[block], a_bras, out=diff)
+            np.matmul(b_kets[block], b_bras, out=other)
+            diff -= other
+            yield np.abs(diff, out=second.view(float)[:diff.size].reshape(shape))
+        del a, b, a_kets, b_kets, a_bras, b_bras
 
 
 def _product_vectors(coeffs, amps: np.ndarray, n_max: int) -> np.ndarray:
@@ -123,7 +138,9 @@ def _product_vectors(coeffs, amps: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def fock_density_from_vector(vec: np.ndarray, dims: Sequence[int]) -> FockDensity:
-    return FockDensity(tuple(dims), vec[None, :], vec[None, :])
+    """The pure density |vec><vec|, its kets and bras one shared array."""
+    pair = vec[None, :]
+    return FockDensity(tuple(dims), pair, pair)
 
 
 def state_to_fock(s: SuperpositionState, n_max: int) -> np.ndarray:
@@ -141,7 +158,10 @@ def density_to_fock(d: SuperpositionDensity, n_max: int) -> FockDensity:
 
 def apply_channel(rho: FockDensity, mode: int, kraus: Iterable[np.ndarray]) -> FockDensity:
     """sum_k K_k rho K_k^dag with the operators acting on a single mode: each
-    pair (ket, bra) becomes the pairs (K_k ket, K_k bra), operator-major."""
+    pair (ket, bra) becomes the pairs (K_k ket, K_k bra), operator-major.
+    Each side is one matrix product of the stacked operators with the
+    vectors; a density whose kets are its bras (a pure start) is acted on
+    once, and the output shares the array."""
     dims = rho.dims
     if not 0 <= mode < len(dims):
         raise ValueError(f"mode {mode} out of range")
@@ -157,10 +177,13 @@ def apply_channel(rho: FockDensity, mode: int, kraus: Iterable[np.ndarray]) -> F
     before, after = int(np.prod(dims[:mode])), int(np.prod(dims[mode + 1:]))
 
     def act(vectors):
-        v = vectors.reshape(len(vectors), before, d, after)
-        return np.einsum("kij,nbja->knbia", ops, v).reshape(-1, vectors.shape[1])
+        v = vectors.reshape(len(vectors), before, d, after).transpose(2, 0, 1, 3)
+        out = ops.reshape(-1, d) @ v.reshape(d, -1)
+        return out.reshape(len(ops), d, len(vectors), before, after).transpose(
+            0, 2, 3, 1, 4).reshape(-1, vectors.shape[1])
 
-    return FockDensity(dims, act(rho.kets), act(rho.bras))
+    kets = act(rho.kets)
+    return FockDensity(dims, kets, kets if rho.bras is rho.kets else act(rho.bras))
 
 
 def kraus_completeness_defect(kraus: Sequence[np.ndarray]) -> float:

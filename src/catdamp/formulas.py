@@ -291,35 +291,38 @@ _PATTERN_SIGNS = (-1.0) ** ((np.arange(8)[:, None] >> np.arange(3)) & 1).sum(axi
 
 
 def ghz_damped_projection(
-    alpha: float | np.ndarray, eta: float, sides: str = "one"
+    alpha: float | np.ndarray, eta: float | np.ndarray, sides: str = "one"
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Exact 8x8 qubit matrix of the three-mode logical GHZ state after loss
     on one or two modes, projected in the damped logical bases, plus the
     projection residual, trace minus matrix trace.  This is the dyad route,
     the reference that validation holds `ghz_damped_elements` to.
 
-    A float `alpha` gives `(8x8 matrix, residual)`; a 1-D array of G
-    amplitudes gives `((G, 8, 8) matrices, (G,) residuals)`, row i equal to
-    the call at `alpha[i]` bit for bit.  Each amplitude runs the generic
-    composition: `ghz_state` expands (|uuu> + |vvv>)/sqrt(2) into 16
-    coherent terms, `density_from_pure` into their 256 dyads, which
-    `canonicalize` merges into the 64 sign-pattern pairs; `apply_loss` damps
-    each lossy mode, `canonicalize` drops the weights below `PRUNE_TOL`, and
-    `project_to_qubits` projects in the bases at a and sqrt(eta) a.
+    Float `alpha` and `eta` give `(8x8 matrix, residual)`; if either is a
+    1-D array they broadcast to G points, which give `((G, 8, 8) matrices,
+    (G,) residuals)`, row i equal to the call at `(alpha[i], eta[i])` bit
+    for bit.  Each point runs the generic composition: `ghz_state` expands
+    (|uuu> + |vvv>)/sqrt(2) into 16 coherent terms, `density_from_pure`
+    into their 256 dyads, which `canonicalize` merges into the 64
+    sign-pattern pairs; `apply_loss` damps each lossy mode, `canonicalize`
+    drops the weights below `PRUNE_TOL`, and `project_to_qubits` projects in
+    the bases at a and sqrt(eta) a.  The merged start density depends on
+    alpha alone and is built once for each distinct alpha of a call.
 
     The expansion's weights grow as (2 mu)^-3, so the matrix cancels terms
     of order (2 mu)^-6: an alpha whose estimate 16 * 2^-52 * (2 mu)^-6
     exceeds `GHZ_ROUNDING_LIMIT` raises ValueError naming it (alpha below
     about 0.09), as do an alpha that is not positive and finite or whose
-    2 alpha^2 overflows.
+    2 alpha^2 overflows, and an eta outside (0, 1].
     """
     _check_choice("sides", sides, SIDES)
-    alphas = np.asarray(alpha, dtype=float)
+    alphas, etas = np.broadcast_arrays(np.asarray(alpha, dtype=float),
+                                       np.asarray(eta, dtype=float))
     if alphas.ndim > 1:
-        raise ValueError("alpha must be a float or a 1-D array")
+        raise ValueError("alpha and eta must be floats or 1-D arrays")
     grid = np.atleast_1d(alphas)
     _check_alpha(grid, positive=True)
-    _check_eta(eta, positive=True)
+    _check_eta(etas, positive=True)
     with np.errstate(over="ignore", divide="ignore"):
         _reject(np.isfinite(2.0 * grid * grid), grid, "2 alpha^2 overflows at alpha = {!r}")
         mu = np.array([make_basis(a).mu for a in grid.tolist()])
@@ -327,12 +330,14 @@ def ghz_damped_projection(
                 "the GHZ dyad expansion loses more than GHZ_ROUNDING_LIMIT to rounding "
                 "at alpha = {!r}")
     lossy = _LOSSY_MODES[sides]
-    mats, residuals = [], []
-    for a in grid.tolist():
-        d = canonicalize(density_from_pure(ghz_state(a, 3), check_norm=False))
+    starts, mats, residuals = {}, [], []
+    for a, e in zip(grid.tolist(), np.atleast_1d(etas).tolist()):
+        if a not in starts:
+            starts[a] = canonicalize(density_from_pure(ghz_state(a, 3), check_norm=False))
+        d = starts[a]
         for mode in lossy:
-            d = apply_loss(d, mode, eta)
-        bases = [make_basis(a * math.sqrt(eta) if k in lossy else a) for k in range(3)]
+            d = apply_loss(d, mode, e)
+        bases = [make_basis(a * math.sqrt(e) if k in lossy else a) for k in range(3)]
         mat, residual = project_to_qubits(canonicalize(d), bases)
         mats.append(mat)
         residuals.append(residual)

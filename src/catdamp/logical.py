@@ -313,12 +313,12 @@ def _x_concurrence(a, b, c, d, e_abs, f_abs):
 
 
 def _spectra_concurrences(evals: np.ndarray) -> np.ndarray:
-    """sqrt(2 (1 - Tr rho_A^2)) from reduced spectra (G, r), each row
+    """sqrt(2 (1 - Tr rho_A^2)) from reduced spectra (..., r), each row
     decreasing; raises ValueError if a row has rank > 2."""
-    if evals.shape[1] > 2 and np.any(evals[:, 2] > RANK_TOL):
-        third = evals[np.argmax(evals[:, 2] > RANK_TOL), 2]
-        raise ValueError(f"reduced state has rank > 2 (third eigenvalue {third:.3e})")
-    purity = np.sum(np.clip(evals, 0.0, None) ** 2, axis=1)
+    third = evals[..., 2:3]
+    if np.any(third > RANK_TOL):
+        raise ValueError(f"reduced state has rank > 2 (third eigenvalue {np.max(third):.3e})")
+    purity = np.sum(np.clip(evals, 0.0, None) ** 2, axis=-1)
     return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - purity)))
 
 
@@ -346,21 +346,23 @@ def pure_bipartite_concurrence(
 def _pure_concurrences(
     coeffs: np.ndarray, amps: np.ndarray, side_a: Sequence[int]
 ) -> np.ndarray:
-    """`pure_bipartite_concurrence` of G states sum_t coeffs[g, t] |amps[g, t]>
-    at once, each normalized here: coeffs (G, T), amps (G, T, M) -> (G,).
+    """`pure_bipartite_concurrence` of the states sum_t coeffs[..., t]
+    |amps[..., t, :]> at once, each normalized here: coeffs (..., T) and amps
+    (..., T, M) broadcast over their leading axes, as do the results.
 
     Side A's reduced operator is sum_tu c_t conj(c_u) <b_u|b_t> |a_t><a_u|,
     with a and b a term's amplitudes on side A and on the rest; its spectra
-    come from one `_gram_spectra` call over all G states.
+    come from one `_gram_spectra` call, each Gram matrix formed once.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     amps = np.asarray(amps, dtype=complex)
     side_a = sorted(set(side_a))
-    rest = [k for k in range(amps.shape[2]) if k not in side_a]
-    n2 = np.einsum("gt,gtu,gu->g", coeffs.conj(), _gram(amps), coeffs).real
-    c = coeffs / np.sqrt(n2)[:, None]
-    reduced = c[:, :, None] * c.conj()[:, None, :] * np.swapaxes(_gram(amps[:, :, rest]), 1, 2)
-    return _spectra_concurrences(_gram_spectra(amps[:, :, side_a], reduced))
+    rest = [k for k in range(amps.shape[-1]) if k not in side_a]
+    n2 = np.einsum("...t,...tu,...u->...", coeffs.conj(), _gram(amps), coeffs).real
+    c = coeffs / np.sqrt(n2)[..., None]
+    reduced = (c[..., :, None] * c.conj()[..., None, :]
+               * np.swapaxes(_gram(amps[..., rest]), -1, -2))
+    return _spectra_concurrences(_gram_spectra(amps[..., side_a], reduced))
 
 
 def mixture_weights(

@@ -232,12 +232,13 @@ class TestCrossBackend:
     def test_channel_refuses_oversize_output_before_forming_it(self, monkeypatch):
         # 10 operators on 1 pair of 10 levels would form 10 x 10 entries per side
         monkeypatch.setattr(fockref, "MAX_MATRIX_ENTRIES", 99)
-        rho = FockDensity((10,), np.ones((1, 10)), np.ones((1, 10)))
 
-        def einsum(*args, **kwargs):
-            raise AssertionError("the output pairs were formed")
+        class Unformed(np.ndarray):
+            # any arithmetic on the pairs, the channel's product included
+            def __array_ufunc__(self, *args, **kwargs):
+                raise AssertionError("the output pairs were formed")
 
-        monkeypatch.setattr(np, "einsum", einsum)
+        rho = FockDensity((10,), np.ones((1, 10)).view(Unformed), np.ones((1, 10)).view(Unformed))
         with pytest.raises(ValueError, match="10 ket-bra pairs of 10 levels are too large"):
             apply_channel(rho, 0, damping_kraus(0.5, 9))
 
@@ -260,7 +261,8 @@ def fock_check_pairs():
     pairs = []
     gap_blocks = fockref.gap_blocks
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fockref, "gap_blocks", lambda a, b: pairs.append((a, b)) or gap_blocks(a, b))
+        mp.setattr(fockref, "gap_blocks",
+                   lambda check_pairs: gap_blocks(pairs.append(p) or p for p in check_pairs))
         for offset, (name, check, *_) in enumerate(CHECKS):
             if name in ("backend_equivalence", "ghz_fock_crosscheck", "fock_channel_composition"):
                 _max_deviation(check(np.random.default_rng(7000 + offset)))
@@ -274,13 +276,33 @@ def random_density(rng, levels, pairs=3):
 
 
 class TestGapBlocks:
+    @staticmethod
+    def kept(pairs):
+        """Every block of one `gap_blocks` call, each copied before the next
+        one overwrites it."""
+        return [block.copy() for block in fockref.gap_blocks(pairs)]
+
     def test_max_equals_the_dense_max_on_every_check_pair(self):
         pairs = fock_check_pairs()
         assert len(pairs) == 25 + 3 + 3
         for a, b in pairs:
-            blocks = list(fockref.gap_blocks(a, b))
+            blocks = self.kept([(a, b)])
             assert np.vstack(blocks).shape == a.mat.shape
             assert np.max(np.vstack(blocks)) == np.max(np.abs(a.mat - b.mat))
+
+    def test_one_call_over_many_pairs_equals_the_per_pair_calls(self):
+        pairs = fock_check_pairs()
+        each = [block for pair in pairs for block in self.kept([pair])]
+        together = self.kept(iter(pairs))
+        assert len(together) == len(each)
+        assert all(np.array_equal(x, y) for x, y in zip(together, each))
+
+    def test_blocks_share_one_buffer(self):
+        rng = np.random.default_rng(3)
+        pairs = [(random_density(rng, 300), random_density(rng, 300)) for _ in range(2)]
+        blocks = list(fockref.gap_blocks(pairs))
+        assert len(blocks) == 2 * 2
+        assert all(np.shares_memory(block, blocks[0]) for block in blocks[1:])
 
     @pytest.mark.parametrize("levels,heights", [
         (100, [100]),            # fewer levels than one block
@@ -290,7 +312,7 @@ class TestGapBlocks:
     def test_block_edges(self, levels, heights):
         rng = np.random.default_rng(levels)
         a, b = random_density(rng, levels), random_density(rng, levels)
-        blocks = list(fockref.gap_blocks(a, b))
+        blocks = self.kept([(a, b)])
         assert [len(block) for block in blocks] == heights
         assert all(block.shape[1] == levels for block in blocks)
         np.testing.assert_allclose(np.vstack(blocks), np.abs(a.mat - b.mat), rtol=0, atol=1e-13)
@@ -299,7 +321,7 @@ class TestGapBlocks:
         rng = np.random.default_rng(1)
         a, b = random_density(rng, 729), random_density(rng, 729)
         a.kets[:, -1] = math.nan
-        blocks = list(fockref.gap_blocks(a, b))
+        blocks = self.kept([(a, b)])
         assert len(blocks) == 9 and len(blocks[-1]) == 729 - 8 * 89
         assert all(np.isfinite(block).all() for block in blocks[:-1])
         assert math.isnan(_max_deviation(iter(blocks)))
@@ -311,7 +333,17 @@ class TestGapBlocks:
         monkeypatch.setattr(fockref, "MAX_MATRIX_ENTRIES", 729 * 729 - 1)
         with pytest.raises(ValueError, match="too large"):
             a.mat
-        assert max(np.max(block) for block in fockref.gap_blocks(a, b)) == dense
+        assert max(np.max(block) for block in fockref.gap_blocks([(a, b)])) == dense
+
+    @pytest.mark.parametrize("other", [(5, 5), (6, 6)])
+    def test_refuses_a_pair_whose_dims_differ(self, other):
+        # (25,) against (5, 5) has equal totals, and once read a gap of 0
+        vectors = np.ones((2, 25), dtype=complex)
+        a = FockDensity((25,), vectors, vectors)
+        total = int(np.prod(other))
+        b = FockDensity(other, np.ones((2, total)), np.ones((2, total)))
+        with pytest.raises(ValueError, match=rf"\(25,\) and \({other[0]}, {other[1]}\)"):
+            next(fockref.gap_blocks([(a, b)]))
 
     @pytest.mark.parametrize("name", ["backend_equivalence", "ghz_fock_crosscheck"])
     def test_fock_checks_peak_below_one_dense_matrix(self, name):

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from catdamp import formulas
 from catdamp.cli import main
 from catdamp.coherent import (
     apply_loss,
@@ -518,6 +519,26 @@ class TestGhzDyadKernel:
             assert one_mat.shape == (8, 8) and isinstance(one_residual, float)
             assert same_bits(one_mat, mat), (alpha, eta, sides)
             assert one_residual == residual, (alpha, eta, sides)
+
+    @pytest.mark.parametrize("sides", SIDES)
+    def test_eta_array_rows_equal_the_float_calls(self, sides, monkeypatch):
+        alphas = np.array([0.5, 1.1, 0.5, 1.1, 2.0])
+        etas = np.array([0.3, 0.3, 0.8, 0.8, 0.8])
+        builds = []
+        monkeypatch.setattr(formulas, "ghz_state",
+                            lambda alpha, modes: builds.append(alpha) or ghz_state(alpha, modes))
+        mats, residuals = ghz_damped_projection(alphas, etas, sides)
+        # one start density for each distinct alpha
+        assert sorted(builds) == [0.5, 1.1, 2.0]
+        for alpha, eta, mat, residual in zip(alphas, etas, mats, residuals):
+            one_mat, one_residual = ghz_damped_projection(float(alpha), float(eta), sides)
+            assert same_bits(one_mat, mat) and one_residual == residual
+        # a float alpha broadcasts against the etas, and builds once
+        builds.clear()
+        mats, residuals = ghz_damped_projection(1.1, etas, sides)
+        assert builds == [1.1] and mats.shape == (5, 8, 8) and residuals.shape == (5,)
+        for eta, mat in zip(etas, mats):
+            assert same_bits(ghz_damped_projection(1.1, float(eta), sides)[0], mat)
 
     @pytest.mark.parametrize("sides", SIDES)
     def test_validation_grid(self, sides):

@@ -1,7 +1,7 @@
 """The Fock channel and the batched Gram-spectrum kernel against the routes
-they replace or share: a d^2 x d^2 superoperator for `apply_channel` on the
-ket-bra pair representation, and one-operator calls for `_gram_spectra` and
-`_pure_concurrences`."""
+they replace or share: a d^2 x d^2 superoperator and a per-side `einsum` for
+`apply_channel` on the ket-bra pair representation, and one-operator or
+tiled calls for `_gram_spectra` and `_pure_concurrences`."""
 
 import math
 
@@ -19,10 +19,22 @@ from catdamp.coherent import (
     normalize,
     partial_trace,
 )
-from catdamp.fockref import FockDensity, apply_channel, damping_kraus
+from catdamp.fockref import (
+    FockDensity,
+    apply_channel,
+    damping_kraus,
+    fock_density_from_vector,
+    required_levels,
+    state_to_fock,
+)
 from catdamp.formulas import cat_state, concurrence_pure, mode_ladder
 from catdamp.logical import _pure_concurrences, pure_bipartite_concurrence
-from catdamp.validation import _max_deviation, check_pure_concurrence_closed_form
+from catdamp.validation import (
+    ALPHA_GRID,
+    ETA_GRID,
+    _max_deviation,
+    check_pure_concurrence_closed_form,
+)
 
 
 def superoperator_channel(rho, mode, kraus):
@@ -40,6 +52,20 @@ def superoperator_channel(rho, mode, kraus):
     tens = np.moveaxis(flat.reshape((d, d) + rest), (0, 1), (mode, n + mode))
     total = int(np.prod(dims))
     return np.ascontiguousarray(tens).reshape(total, total)
+
+
+def einsum_channel(rho, mode, kraus):
+    """The operator-major pairs (K ket, K bra) of `apply_channel`, by one
+    `einsum` per side, the route its single matrix product replaced."""
+    dims, d = rho.dims, rho.dims[mode]
+    before, after = int(np.prod(dims[:mode])), int(np.prod(dims[mode + 1:]))
+    ops = np.array(kraus, dtype=complex)
+
+    def act(vectors):
+        v = vectors.reshape(len(vectors), before, d, after)
+        return np.einsum("kij,nbja->knbia", ops, v).reshape(-1, vectors.shape[1])
+
+    return act(rho.kets), act(rho.bras)
 
 
 def random_density(rng, dims):
@@ -93,6 +119,32 @@ class TestBandedChannel:
         got = apply_channel(rho, mode, kraus)
         assert got.kets.shape == (4 * 24, 24)
         assert np.max(np.abs(got.mat - superoperator_channel(rho, mode, kraus))) < 1e-13
+
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_bit_identical_to_einsum_at_the_check_points(self, alpha):
+        # `backend_equivalence`'s pure starts: each entry of a loss channel's
+        # output is one product plus exact zeros
+        n = required_levels(alpha)
+        s = cat_state((complex(alpha), complex(alpha)), -1.0)
+        start = fock_density_from_vector(state_to_fock(s, n), (n + 1, n + 1))
+        assert start.bras is start.kets
+        for eta in ETA_GRID:
+            kraus = damping_kraus(eta, n)
+            got = apply_channel(start, 1, kraus)
+            kets, bras = einsum_channel(start, 1, kraus)
+            assert got.bras is got.kets
+            assert np.array_equal(got.kets, kets) and np.array_equal(got.bras, bras)
+
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_shared_pairs_equal_an_unshared_copy(self, mode):
+        rng = np.random.default_rng(17 + mode)
+        kets = random_density(rng, (4, 3)).kets
+        shared, unshared = FockDensity((4, 3), kets, kets), FockDensity((4, 3), kets, kets.copy())
+        d = (4, 3)[mode]
+        kraus = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
+        once, twice = apply_channel(shared, mode, kraus), apply_channel(unshared, mode, kraus)
+        assert once.bras is once.kets and twice.bras is not twice.kets
+        assert np.array_equal(once.kets, twice.kets) and np.array_equal(once.bras, twice.bras)
 
     def test_zero_operator_contributes_nothing(self):
         rho = random_density(np.random.default_rng(5), (5,))
@@ -190,6 +242,13 @@ class TestPureConcurrences:
         for i, row in enumerate(rows):
             single = _pure_concurrences(coeffs[row:row + 1], amps[row:row + 1], [0])
             assert batched[i] == single[0]
+
+    def test_broadcast_equals_the_tiled_call(self):
+        # the check's form: coeffs (theta, alpha, 2) against amps (alpha, 2, 3)
+        _, coeffs, amps = pure_concurrence_grid()
+        shared = _pure_concurrences(coeffs.reshape(181, 40, 2), amps[:40], [0])
+        assert shared.shape == (181, 40)
+        assert np.array_equal(shared.ravel(), _pure_concurrences(coeffs, amps, [0]))
 
     def test_normalizes_its_states(self):
         _, coeffs, amps = pure_concurrence_grid()

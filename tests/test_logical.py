@@ -27,6 +27,7 @@ from catdamp.logical import (
     xstate_concurrence,
 )
 from catdamp.formulas import cat_state, ghz_state, mode_ladder
+from catdamp import validation
 
 
 def three_mode_state(alpha, theta=math.pi):
@@ -443,6 +444,29 @@ class TestXStateConcurrence:
         assert isinstance(xstate_concurrence(stack[0]), float)
         assert np.array_equal(xstate_concurrence(stack.reshape(10, 100, 4, 4)),
                               got.reshape(10, 100))
+
+    def test_validation_draws_equal_the_scalar_loop(self, monkeypatch):
+        # `xstate_wootters_agreement` takes its 8000 uniforms in one call;
+        # its six elements are the scalar loop's bit for bit
+        seed = 7 * 1000 + 7
+        elements = []
+        rng = np.random.default_rng(seed)
+        for _ in range(1000):
+            diag = rng.uniform(0.05, 1.0, size=4)
+            diag /= diag.sum()
+            a, b, c, d = (float(x) for x in diag)
+            e = float(rng.uniform()) * math.sqrt(b * c) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            f = float(rng.uniform()) * math.sqrt(a * d) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            elements.append((a, b, c, d, e, f))
+        calls = []
+        monkeypatch.setattr(validation, "_x_matrix",
+                            lambda *args: calls.append(args) or _x_matrix(*args))
+        validation._max_deviation(
+            validation.check_xstate_wootters_agreement(np.random.default_rng(seed)))
+        (got,) = calls
+        for column, want in zip(got, zip(*elements)):
+            assert np.array_equal(column, want)
+            assert np.array_equal(np.signbit(np.imag(column)), np.signbit(np.imag(want)))
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="negative"):
