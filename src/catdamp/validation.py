@@ -6,6 +6,12 @@ the check's error (a one-sided check yields signed values, at most 0 when it
 is clean), and `run_validation` holds their maximum to a fixed tolerance; the
 random checks draw from a generator seeded from the run seed, so a given
 seed always produces the same report.
+
+A check is a generator `check_<name>(rng)` under `@_check(tolerance,
+grid_label)`, which registers it in `CHECKS` as `<name>`; checks run and
+report in the order they are defined.  A new check also needs its entry in
+`MUTATIONS` of `tests/test_validation_mutations.py`: a perturbation of one
+route it compares under which it fails.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .coherent import (
     is_hermitian,
     normalize,
     partial_trace,
+    scale,
     state_inner,
     state_norm,
     tensor,
@@ -63,6 +70,17 @@ ETA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 # every (alpha, eta) pair of the two grids, as two flat arrays
 PAIR_ALPHAS, PAIR_ETAS = (g.ravel() for g in np.meshgrid(ALPHA_GRID, ETA_GRID))
 
+# name -> (check, default tolerance, grid label), in report order
+CHECKS: dict[str, tuple] = {}
+
+
+def _check(tolerance: float, grid: str):
+    """Register the decorated `check_<name>` generator as check `<name>`."""
+    def register(fn):
+        CHECKS[fn.__name__.removeprefix("check_")] = (fn, tolerance, grid)
+        return fn
+    return register
+
 
 def _random_state(rng, modes, terms, amp_scale=1.2) -> SuperpositionState:
     pairs = []
@@ -78,6 +96,7 @@ def _random_state(rng, modes, terms, amp_scale=1.2) -> SuperpositionState:
 # ---------------------------------------------------------------- exact algebra
 
 
+@_check(1e-12, "20 random 10-term 3-mode states, random transmissivity")
 def check_beamsplitter_unitarity(rng):
     for _ in range(20):
         s = _random_state(rng, modes=3, terms=10)
@@ -86,6 +105,7 @@ def check_beamsplitter_unitarity(rng):
         yield abs(state_norm(beamsplitter(s, int(i), int(j), eta)) - state_norm(s))
 
 
+@_check(1e-10, "10 random 2-mode densities, random transmissivity pairs")
 def check_loss_composition(rng):
     for _ in range(10):
         d = density_from_pure(normalize(_random_state(rng, modes=2, terms=3)))
@@ -95,6 +115,7 @@ def check_loss_composition(rng):
         yield np.abs(two.dyads - one.dyads)
 
 
+@_check(1e-10, "loss and partial trace on 10 random 3-mode densities")
 def check_trace_preservation(rng):
     for _ in range(10):
         d = density_from_pure(normalize(_random_state(rng, modes=3, terms=3)))
@@ -102,6 +123,7 @@ def check_trace_preservation(rng):
         yield abs(density_trace(partial_trace(d, [2])).real - 1.0)
 
 
+@_check(1e-10, "channel and trace pipelines on 5 random densities")
 def check_hermiticity_preservation(rng):
     # 1 for each result that is not Hermitian
     for _ in range(5):
@@ -125,6 +147,7 @@ def _fock_loss_gaps(cases):
                    fockref.apply_channel(start, 1, fockref.damping_kraus(eta, n)))
 
 
+@_check(1e-8, "2-mode odd cat, alpha {0.2..2} x eta {0.1..0.9}, entrywise Fock matrix")
 def check_backend_equivalence(rng):
     return fockref.gap_blocks(_fock_loss_gaps(
         (cat_state((complex(alpha), complex(alpha)), -1.0), alpha, ETA_GRID)
@@ -134,6 +157,7 @@ def check_backend_equivalence(rng):
 # ------------------------------------------------------------------- logical
 
 
+@_check(1e-12, "40 random amplitudes in [0.05, 3]")
 def check_basis_orthonormality(rng):
     for _ in range(40):
         alpha = float(rng.uniform(0.05, 3.0))
@@ -145,9 +169,8 @@ def check_basis_orthonormality(rng):
         yield abs(b.lam**2 + b.mu**2 - 1.0)
 
 
+@_check(1e-10, "10 random 2-mode states inside the logical span")
 def check_projection_faithfulness(rng):
-    from .coherent import add, scale
-
     basis = make_basis(1.1)
     u, v = basis.u_state(), basis.v_state()
     prods = [tensor(u, u), tensor(u, v), tensor(v, u), tensor(v, v)]
@@ -155,19 +178,14 @@ def check_projection_faithfulness(rng):
     for _ in range(10):
         c1 = rng.normal(size=4) + 1j * rng.normal(size=4)
         c2 = rng.normal(size=4) + 1j * rng.normal(size=4)
-
-        def build(coeffs):
-            out = scale(prods[0], complex(coeffs[0]))
-            for w, p in zip(coeffs[1:], prods[1:]):
-                out = add(out, scale(p, complex(w)))
-            return out
-
-        s1, s2 = build(c1), build(c2)
+        s1, s2 = (SuperpositionState(np.concatenate([scale(p, w).terms for w, p in zip(c, prods)]))
+                  for c in (c1, c2))
         exact = state_inner(s1, s2)
         via_qubits = np.vdot(qubit_coordinates(s1, bases), qubit_coordinates(s2, bases))
         yield abs(exact - via_qubits)
 
 
+@_check(1e-10, "1000 random positive-semidefinite X states")
 def check_xstate_wootters_agreement(rng):
     # eight uniforms a state, in the order that fixes the report's bytes:
     # four diagonal weights in [0.05, 1), then a modulus and a phase for e and f
@@ -181,6 +199,7 @@ def check_xstate_wootters_agreement(rng):
     yield np.abs(xstate_concurrence(x) - wootters_concurrence(x))
 
 
+@_check(1e-10, "theta [0, 2pi] x 181, alpha [0.05, 2] x 40")
 def check_pure_concurrence_closed_form(rng):
     # the states cat_state(mode_ladder(alpha, 3), e^{i theta}) on the
     # (theta, alpha) grid as one array call, the ladders shared across theta
@@ -214,10 +233,12 @@ def _phase_flip_extraction(m: int, alphas, etas):
             yield residual
 
 
+@_check(1e-10, "two-sided loss pipeline, alpha {0.2..2} x eta {0.1..0.9}")
 def check_phase_flip_extraction(rng):
     return _phase_flip_extraction(3, ALPHA_GRID, ETA_GRID)
 
 
+@_check(1e-10, "loss on modes 1..m-1, m {4, 6}, alpha {0.2, 1.1, 2} x eta {0.1, 0.5, 0.9}")
 def check_phase_flip_extraction_m(rng):
     for m in (4, 6):
         yield from _phase_flip_extraction(m, (0.2, 1.1, 2.0), (0.1, 0.5, 0.9))
@@ -226,6 +247,7 @@ def check_phase_flip_extraction_m(rng):
 # ------------------------------------------------------------------ formulas
 
 
+@_check(0.0, "m {1,2,5,8}, alpha [0.05, 4] x 80, eta {0.1..0.9}")
 def check_phase_flip_gap_positive(rng):
     # 1 - 2 p_{f,m} > 0 for finite alpha: report any nonpositive gap
     alphas = np.linspace(0.05, 4.0, 80)[:, None]
@@ -233,27 +255,33 @@ def check_phase_flip_gap_positive(rng):
         yield 2.0 * phase_flip_prob_m(alphas, np.array(ETA_GRID), m) - 1.0
 
 
+@_check(1e-10, "one-sided pipeline, alpha {0.2..2} x eta {0.1..0.9}")
 def check_ghz_diagonal_weight(rng):
     x = _x_parts(_ghz_damped_matrices(PAIR_ALPHAS, PAIR_ETAS, "one")).real
     yield np.abs(x[:, 0, 0] + x[:, 1, 1] + x[:, 2, 2] + x[:, 3, 3] - 1.0)
 
 
+@_check(1e-9, "both sidednesses, alpha {0.2..2} x eta {0.1..0.9}")
 def check_ghz_psd(rng):
     # report any negative eigenvalue
     for sides in ("one", "two"):
         yield -np.linalg.eigvalsh(_x_parts(_ghz_damped_matrices(PAIR_ALPHAS, PAIR_ETAS, sides)))
 
 
+@_check(1e-10, "both sidednesses, alpha {0.2..2} x eta {0.1..0.9}")
 def check_ghz_projection_residual(rng):
     for sides in ("one", "two"):
         yield np.abs(ghz_damped_projection(PAIR_ALPHAS, PAIR_ETAS, sides)[1])
 
 
+@_check(1e-12, "eta = 1 at alpha {0.3, 0.8, 1.5}")
 def check_ghz_lossless_reduction(rng):
     x = _x_parts(_ghz_damped_matrices(np.array([0.3, 0.8, 1.5]), 1.0, "one"))
     yield np.abs(x - _x_matrix(0.5, 0.0, 0.0, 0.5, 0.0, 0.5))
 
 
+@_check(1e-11, "Kraus route and dyad pipeline vs stable closed forms, "
+        "alpha {0.2..2} x eta {0.1, 0.5, 0.9}")
 def check_ghz_closed_form_agreement(rng):
     # the Kraus route and the dyad route, one call per sidedness, against the closed forms
     alphas, etas = np.array(ALPHA_GRID), (0.1, 0.5, 0.9)
@@ -266,12 +294,14 @@ def check_ghz_closed_form_agreement(rng):
             yield np.abs(dyads - closed)
 
 
+@_check(1e-8, "2-mode logical GHZ, 3 parameter points, entrywise Fock matrix")
 def check_ghz_fock_crosscheck(rng):
     return fockref.gap_blocks(_fock_loss_gaps(
         (ghz_state(alpha, modes=2), alpha, (eta,))
         for alpha, eta in ((0.5, 0.3), (1.0, 0.7), (1.5, 0.9))))
 
 
+@_check(1e-9, "both sidednesses, alpha {0.2..2} x eta {0.1..0.9}")
 def check_bound_domination(rng):
     # report any direct value above the bound
     for sides in ("one", "two"):
@@ -279,11 +309,13 @@ def check_bound_domination(rng):
                - damped_concurrence_bound(PAIR_ALPHAS, PAIR_ETAS, math.pi, sides))
 
 
+@_check(1e-12, "m {2,5,8}, alpha [0.1, 3] x 30, eta = 1")
 def check_mmode_lossless_maximal(rng):
     for m in (2, 5, 8):
         yield np.abs(concurrence_m(np.linspace(0.1, 3.0, 30), 1.0, m, "odd") - 1.0)
 
 
+@_check(1e-4, "alpha = 1e-4 against the analytic limits, eta = 0.9")
 def check_mmode_small_alpha_limits(rng):
     # the limits of the paper's phase-flip expression: its odd one,
     # 2 eta^{3/2} / (1 + eta), is not the exact concurrence's, sqrt(eta)
@@ -294,6 +326,7 @@ def check_mmode_small_alpha_limits(rng):
         yield abs(concurrence_m(1e-4, eta, m, "even"))
 
 
+@_check(1.0, "epsilon = 1e-3 on alpha [0, 4] x 401, eta = 0.9, m {2,5,8}")
 def check_mmode_vanishing_coincidence(rng):
     # epsilon-vanishing indices of the odd and even branches, one grid step
     # max; the grid's length if only one of them vanishes
@@ -307,6 +340,7 @@ def check_mmode_vanishing_coincidence(rng):
             yield float(abs(odd - even))
 
 
+@_check(1e-12, "alpha [0.5, 4] x 176, eta = 0.9, m {2,5,8}")
 def check_mmode_odd_monotone(rng):
     # report any rise
     grid = np.linspace(0.5, 4.0, 176)
@@ -314,6 +348,7 @@ def check_mmode_odd_monotone(rng):
         yield np.diff(concurrence_m(grid, 0.9, m, "odd"))
 
 
+@_check(0.0, "alpha [0.5, 4] x 176, eta = 0.9, m {2,5,8}")
 def check_mmode_even_unimodal(rng):
     # report sign changes beyond the one peak, and a rise at the end
     grid = np.linspace(0.5, 4.0, 176)
@@ -346,6 +381,7 @@ def _bisect(f, lo, hi, xtol: float):
     return float(root) if root.ndim == 0 else root
 
 
+@_check(0.0, "p_{f,m} = 0.49 crossings at eta = 0.99, m {2,5,8}")
 def check_saturation_crossing_monotonic(rng):
     # alpha at which p_{f,m} reaches 0.49 at eta = 0.99 strictly decreases
     # in m: report any rise
@@ -357,17 +393,20 @@ def check_saturation_crossing_monotonic(rng):
 # ------------------------------------------------------------------- fockref
 
 
+@_check(1e-12, "coherent tail mass up to alpha = 3")
 def check_truncation_adequacy(rng):
     for alpha in (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
         vec = fockref.coherent_fock(alpha, fockref.required_levels(alpha))
         yield abs(1.0 - float(np.vdot(vec, vec).real))
 
 
+@_check(1e-10, "30-level Kraus sets, eta {0, 0.1, 0.5, 0.9, 1}")
 def check_kraus_completeness(rng):
     for eta in (0.0, 0.1, 0.5, 0.9, 1.0):
         yield fockref.kraus_completeness_defect(fockref.damping_kraus(eta, 30))
 
 
+@_check(1e-8, "sequential vs combined transmissivity on a 1-mode odd cat")
 def check_fock_channel_composition(rng):
     alpha = 1.0
     n = fockref.required_levels(alpha)
@@ -382,67 +421,6 @@ def check_fock_channel_composition(rng):
 
 # -------------------------------------------------------------------- runner
 
-CHECKS = (
-    ("beamsplitter_unitarity", check_beamsplitter_unitarity, 1e-12,
-     "20 random 10-term 3-mode states, random transmissivity"),
-    ("loss_composition", check_loss_composition, 1e-10,
-     "10 random 2-mode densities, random transmissivity pairs"),
-    ("trace_preservation", check_trace_preservation, 1e-10,
-     "loss and partial trace on 10 random 3-mode densities"),
-    ("hermiticity_preservation", check_hermiticity_preservation, 1e-10,
-     "channel and trace pipelines on 5 random densities"),
-    ("backend_equivalence", check_backend_equivalence, 1e-8,
-     "2-mode odd cat, alpha {0.2..2} x eta {0.1..0.9}, entrywise Fock matrix"),
-    ("basis_orthonormality", check_basis_orthonormality, 1e-12,
-     "40 random amplitudes in [0.05, 3]"),
-    ("projection_faithfulness", check_projection_faithfulness, 1e-10,
-     "10 random 2-mode states inside the logical span"),
-    ("xstate_wootters_agreement", check_xstate_wootters_agreement, 1e-10,
-     "1000 random positive-semidefinite X states"),
-    ("pure_concurrence_closed_form", check_pure_concurrence_closed_form, 1e-10,
-     "theta [0, 2pi] x 181, alpha [0.05, 2] x 40"),
-    ("phase_flip_extraction", check_phase_flip_extraction, 1e-10,
-     "two-sided loss pipeline, alpha {0.2..2} x eta {0.1..0.9}"),
-    ("phase_flip_extraction_m", check_phase_flip_extraction_m, 1e-10,
-     "loss on modes 1..m-1, m {4, 6}, alpha {0.2, 1.1, 2} x eta {0.1, 0.5, 0.9}"),
-    ("phase_flip_gap_positive", check_phase_flip_gap_positive, 0.0,
-     "m {1,2,5,8}, alpha [0.05, 4] x 80, eta {0.1..0.9}"),
-    ("ghz_diagonal_weight", check_ghz_diagonal_weight, 1e-10,
-     "one-sided pipeline, alpha {0.2..2} x eta {0.1..0.9}"),
-    ("ghz_psd", check_ghz_psd, 1e-9,
-     "both sidednesses, alpha {0.2..2} x eta {0.1..0.9}"),
-    ("ghz_projection_residual", check_ghz_projection_residual, 1e-10,
-     "both sidednesses, alpha {0.2..2} x eta {0.1..0.9}"),
-    ("ghz_lossless_reduction", check_ghz_lossless_reduction, 1e-12,
-     "eta = 1 at alpha {0.3, 0.8, 1.5}"),
-    ("ghz_closed_form_agreement", check_ghz_closed_form_agreement, 1e-11,
-     "Kraus route and dyad pipeline vs stable closed forms, "
-     "alpha {0.2..2} x eta {0.1, 0.5, 0.9}"),
-    ("ghz_fock_crosscheck", check_ghz_fock_crosscheck, 1e-8,
-     "2-mode logical GHZ, 3 parameter points, entrywise Fock matrix"),
-    ("bound_domination", check_bound_domination, 1e-9,
-     "both sidednesses, alpha {0.2..2} x eta {0.1..0.9}"),
-    ("mmode_lossless_maximal", check_mmode_lossless_maximal, 1e-12,
-     "m {2,5,8}, alpha [0.1, 3] x 30, eta = 1"),
-    ("mmode_small_alpha_limits", check_mmode_small_alpha_limits, 1e-4,
-     "alpha = 1e-4 against the analytic limits, eta = 0.9"),
-    ("mmode_vanishing_coincidence", check_mmode_vanishing_coincidence, 1.0,
-     "epsilon = 1e-3 on alpha [0, 4] x 401, eta = 0.9, m {2,5,8}"),
-    ("mmode_odd_monotone", check_mmode_odd_monotone, 1e-12,
-     "alpha [0.5, 4] x 176, eta = 0.9, m {2,5,8}"),
-    ("mmode_even_unimodal", check_mmode_even_unimodal, 0.0,
-     "alpha [0.5, 4] x 176, eta = 0.9, m {2,5,8}"),
-    ("saturation_crossing_monotonic", check_saturation_crossing_monotonic, 0.0,
-     "p_{f,m} = 0.49 crossings at eta = 0.99, m {2,5,8}"),
-    ("truncation_adequacy", check_truncation_adequacy, 1e-12,
-     "coherent tail mass up to alpha = 3"),
-    ("kraus_completeness", check_kraus_completeness, 1e-10,
-     "30-level Kraus sets, eta {0, 0.1, 0.5, 0.9, 1}"),
-    ("fock_channel_composition", check_fock_channel_composition, 1e-8,
-     "sequential vs combined transmissivity on a 1-mode odd cat"),
-)
-
-
 def _max_deviation(deviations) -> float:
     """The largest of a check's deviations, each a float or an array: +0.0
     when none is positive, and NaN as soon as one is NaN, so that the check
@@ -454,6 +432,11 @@ def _max_deviation(deviations) -> float:
             return d
         largest = max(largest, d)
     return largest
+
+
+def _rng_for(name: str, seed: int) -> np.random.Generator:
+    """The generator check `name` draws from in a run at `seed`."""
+    return np.random.default_rng(seed * 1000 + list(CHECKS).index(name))
 
 
 @dataclass
@@ -473,9 +456,12 @@ def run_validation(seed: int = 0, tolerances: dict[str, float] | None = None,
                    global_tolerance: float | None = None) -> list[CheckResult]:
     """Run every check; overrides replace the default tolerances.  An
     override must be finite and nonnegative: a NaN or negative one would
-    fail every check it covers, an infinite one would pass them all."""
+    fail every check it covers, an infinite one would pass them all.  The
+    seed must be nonnegative."""
+    if seed < 0:
+        raise ValueError(f"bad seed {seed}: must be nonnegative")
     tolerances = tolerances or {}
-    unknown = set(tolerances) - {name for name, *_ in CHECKS}
+    unknown = set(tolerances) - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown check name(s) in tolerance override: {sorted(unknown)}")
     overrides = {f"{name}={tol!r}": tol for name, tol in tolerances.items()}
@@ -485,10 +471,10 @@ def run_validation(seed: int = 0, tolerances: dict[str, float] | None = None,
         if not 0.0 <= tol < math.inf:
             raise ValueError(f"bad tolerance override {entry}: must be finite and nonnegative")
     results = []
-    for offset, (name, fn, default_tol, grid) in enumerate(CHECKS):
+    for name, (fn, default_tol, grid) in CHECKS.items():
         tol = tolerances.get(name, global_tolerance if global_tolerance is not None
                              else default_tol)
-        rng = np.random.default_rng(seed * 1000 + offset)
+        rng = _rng_for(name, seed)
         started = time.perf_counter()
         max_error = _max_deviation(fn(rng))
         elapsed = time.perf_counter() - started

@@ -314,6 +314,13 @@ class TestValidateCommand:
     def test_unknown_check_name_is_usage_error(self, tmp_path, capsys):
         assert main(["validate", "--tolerance", "bogus=1"]) == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        # NumPy's own refusal names neither the flag nor the value
+        out = tmp_path / "report.json"
+        assert main(["validate", "--seed", "-1", "--out", str(out)]) == 2
+        assert "catdamp validate: bad seed -1: must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, entry", (
         (["--tolerance", "nan"], "nan"),
         (["--tolerance=-1"], "-1.0"),

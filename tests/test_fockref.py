@@ -25,7 +25,7 @@ from catdamp.fockref import (
     state_to_fock,
 )
 from catdamp.formulas import ghz_state
-from catdamp.validation import CHECKS, _max_deviation
+from catdamp.validation import CHECKS, _max_deviation, _rng_for
 
 
 def cat_state(alpha, sign=1.0, modes=2):
@@ -263,9 +263,8 @@ def fock_check_pairs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fockref, "gap_blocks",
                    lambda check_pairs: gap_blocks(pairs.append(p) or p for p in check_pairs))
-        for offset, (name, check, *_) in enumerate(CHECKS):
-            if name in ("backend_equivalence", "ghz_fock_crosscheck", "fock_channel_composition"):
-                _max_deviation(check(np.random.default_rng(7000 + offset)))
+        for name in ("backend_equivalence", "ghz_fock_crosscheck", "fock_channel_composition"):
+            _max_deviation(CHECKS[name][0](_rng_for(name, 7)))
     return pairs
 
 
@@ -348,10 +347,10 @@ class TestGapBlocks:
     @pytest.mark.parametrize("name", ["backend_equivalence", "ghz_fock_crosscheck"])
     def test_fock_checks_peak_below_one_dense_matrix(self, name):
         # the dense comparison formed both 729 x 729 complex matrices
-        offset, check = next((i, fn) for i, (n, fn, *_) in enumerate(CHECKS) if n == name)
+        check, rng = CHECKS[name][0], _rng_for(name, 7)
         tracemalloc.start()
         try:
-            _max_deviation(check(np.random.default_rng(7000 + offset)))
+            _max_deviation(check(rng))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -448,9 +448,9 @@ class TestXStateConcurrence:
     def test_validation_draws_equal_the_scalar_loop(self, monkeypatch):
         # `xstate_wootters_agreement` takes its 8000 uniforms in one call;
         # its six elements are the scalar loop's bit for bit
-        seed = 7 * 1000 + 7
+        name = "xstate_wootters_agreement"
         elements = []
-        rng = np.random.default_rng(seed)
+        rng = validation._rng_for(name, 7)
         for _ in range(1000):
             diag = rng.uniform(0.05, 1.0, size=4)
             diag /= diag.sum()
@@ -462,7 +462,7 @@ class TestXStateConcurrence:
         monkeypatch.setattr(validation, "_x_matrix",
                             lambda *args: calls.append(args) or _x_matrix(*args))
         validation._max_deviation(
-            validation.check_xstate_wootters_agreement(np.random.default_rng(seed)))
+            validation.check_xstate_wootters_agreement(validation._rng_for(name, 7)))
         (got,) = calls
         for column, want in zip(got, zip(*elements)):
             assert np.array_equal(column, want)

@@ -21,7 +21,7 @@ import pytest
 from catdamp import fockref, formulas, validation
 from catdamp.cli import main
 from catdamp.coherent import SuperpositionDensity, scale
-from catdamp.validation import CHECKS, _max_deviation
+from catdamp.validation import CHECKS, _max_deviation, _rng_for
 
 SEED = 7
 EPS = 1e-6
@@ -132,18 +132,23 @@ MUTATIONS = {
 
 
 def test_every_check_has_a_mutation():
-    assert list(MUTATIONS) == [name for name, *_ in CHECKS]
+    assert list(MUTATIONS) == list(CHECKS)
 
 
-@pytest.mark.parametrize(
-    "offset", range(len(CHECKS)), ids=[name for name, *_ in CHECKS]
-)
-def test_check_fails_under_its_mutation(monkeypatch, offset):
-    name, check, tolerance, _ = CHECKS[offset]
+def test_every_check_function_is_registered_once_in_definition_order():
+    # a `check_*` generator without `@_check` would never run
+    defined = sorted((fn for attr, fn in vars(validation).items() if attr.startswith("check_")),
+                     key=lambda fn: fn.__code__.co_firstlineno)
+    assert [fn for fn, *_ in CHECKS.values()] == defined
+    assert list(CHECKS) == [fn.__name__.removeprefix("check_") for fn in defined]
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_check_fails_under_its_mutation(monkeypatch, name):
+    check, tolerance, _ = CHECKS[name]
 
     def deviation():
-        # the generator run_validation gives this check
-        return _max_deviation(check(np.random.default_rng(SEED * 1000 + offset)))
+        return _max_deviation(check(_rng_for(name, SEED)))
 
     assert deviation() <= tolerance
     module, attribute, mutate = MUTATIONS[name]
